@@ -14,9 +14,6 @@ exact rationals.
     courant-vpa extract FILE [--out FILE]
     courant-vpa examples list | examples emit NAME [--out FILE]
     courant-vpa selftest
-
-The checker thread cap is read from COURANT_VPA_THREADS (0 = auto,
-default 1).
 """
 
 from __future__ import annotations
@@ -36,7 +33,7 @@ from .fileformat import (
     view_to_file,
 )
 from .graded import assemble_view, extract_courant
-from .quotient import CourantQuotient, roundtrip_check
+from .quotient import CourantQuotient, ReduceBoundError, roundtrip_check
 from .reports import CheckReport
 from .selftest import run_all
 from .tca import check_all as check_tca_all
@@ -269,7 +266,7 @@ def main(argv: list[str] | None = None) -> int:
     except _Failure as err:
         print(str(err), file=sys.stderr)
         return err.code
-    except (StructureError, CutoffError, ValueError) as err:
+    except (StructureError, CutoffError, ReduceBoundError, ValueError) as err:
         print("error: %s" % err, file=sys.stderr)
         return 2
 

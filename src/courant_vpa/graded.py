@@ -149,12 +149,12 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
         monos[n] = ms
         spaces.append(BasedSpace("S%d" % n, [format_monomial(q.sym, m) for m in ms]))
 
-    def basis_elems(p: int):
-        if p == 0:
-            return [q.embed_a(v) for v in A.basis_vectors()]
-        if p == 1:
-            return [q.embed_b(v) for v in B.basis_vectors()]
-        return [q.reduce(SCElement({m: Fraction(1)})) for m in monos[p]]
+    # the normal forms of each degree's basis, reduced once per degree
+    elems = [
+        [q.embed_a(v) for v in A.basis_vectors()],
+        [q.embed_b(v) for v in B.basis_vectors()],
+    ] + [[q.reduce(SCElement({m: Fraction(1)})) for m in monos[p]] for p in range(2, top + 1)]
+    indices = {p: {m: i for i, m in enumerate(ms)} for p, ms in monos.items()}
 
     def expand(u, degree: int) -> Vector:
         if degree == 0:
@@ -165,7 +165,7 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
             return q.to_b_vector(u)
         if not u.a_part.is_zero():
             raise StructureError("degree-%d element with a degree-0 part" % degree)
-        index = {m: i for i, m in enumerate(monos[degree])}
+        index = indices[degree]
         coeffs = {}
         for m, c in u.monomial_part.items():
             if m not in index:
@@ -175,14 +175,14 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
 
     d_maps = []
     for r in range(top):
-        cols = [expand(q.d(u), r + 1) for u in basis_elems(r)]
+        cols = [expand(q.d(u), r + 1) for u in elems[r]]
         d_maps.append(LinearMap(spaces[r], spaces[r + 1], cols))
     mult = {}
     for p in range(top + 1):
         for qd in range(top + 1 - p):
             rows = []
-            for u in basis_elems(p):
-                rows.append([expand(q.multiply(u, v), p + qd) for v in basis_elems(qd)])
+            for u in elems[p]:
+                rows.append([expand(q.multiply(u, v), p + qd) for v in elems[qd]])
             mult[(p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[p + qd], rows)
     prod = {}
     for p in range(top + 1):
@@ -192,8 +192,8 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
                 if not 0 <= target <= top:
                     continue
                 rows = []
-                for u in basis_elems(p):
-                    rows.append([expand(q.product(n, u, v), target) for v in basis_elems(qd)])
+                for u in elems[p]:
+                    rows.append([expand(q.product(n, u, v), target) for v in elems[qd]])
                 prod[(n, p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[target], rows)
     return GradedVpaView(
         spaces=tuple(spaces),

@@ -58,6 +58,10 @@ MODULE = "quotient"
 MAX_REDUCE_STEPS = 100_000
 
 
+class ReduceBoundError(RuntimeError):
+    """Stage-one fusion took more than MAX_REDUCE_STEPS rewrite steps."""
+
+
 class SBElement:
     """Normal form in the quotient: degree-0 part in A plus monomials in
     the D^n(b) generators (no A-factors, no empty monomial)."""
@@ -222,7 +226,9 @@ class CourantQuotient:
             mono, coeff = stack.pop()
             steps += 1
             if steps > MAX_REDUCE_STEPS:
-                raise RuntimeError("reduce exceeded its step bound; termination bug")
+                raise ReduceBoundError(
+                    "reduction exceeded its bound of %d fusion steps" % MAX_REDUCE_STEPS
+                )
             a_factors = [f for f in mono if f[0] == "a"]
             b_factors = [f for f in mono if f[0] != "a"]
             if not a_factors:

@@ -8,8 +8,6 @@ debuggable straight from the report.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
@@ -80,33 +78,10 @@ class CheckReport:
         return "CheckReport(passed=%s, n=%d)" % (self.passed, len(self.violations))
 
 
-def worker_count() -> int:
-    """Worker cap from COURANT_VPA_THREADS; 0 means auto, unset means 1."""
-    raw = os.environ.get("COURANT_VPA_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        return 1
-    if n == 0:
-        return os.cpu_count() or 1
-    return max(1, n)
-
-
 def run_partitioned(tasks: Sequence[Callable[[], list[Violation]]]) -> list[Violation]:
-    """Run independent enumeration partitions and merge their violations.
-
-    Partitions are pure functions over immutable structures, so the merge
-    is order-independent; CheckReport sorts canonically afterwards anyway.
-    """
-    workers = worker_count()
-    if workers <= 1 or len(tasks) <= 1:
-        out: list[Violation] = []
-        for t in tasks:
-            out.extend(t())
-        return out
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = pool.map(lambda t: t(), tasks)
-        out = []
-        for r in results:
-            out.extend(r)
-        return out
+    """Run independent enumeration partitions in order and merge their
+    violations; CheckReport sorts them canonically afterwards."""
+    out: list[Violation] = []
+    for t in tasks:
+        out.extend(t())
+    return out

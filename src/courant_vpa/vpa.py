@@ -23,10 +23,23 @@ The n-th products are evaluated by a two-step rule:
 Both routes are exercised against each other where they overlap; the
 extension of the generator products to the symmetric algebra is unique,
 so agreement is a real consistency check, not a tautology.
+
+Products are bilinear, so ``product`` expands over pairs of monomials and
+sums the monomial-pair results into one accumulator.  A check evaluates
+the same (n, monomial, monomial) pairs many times over, so ``check_vpa``
+memoizes the pair results, keyed by route as well so that the two routes
+stay independent computations, and D of each monomial.  The memo lives
+for one ``check_vpa`` call only (``SymAlgebra.memoized``) and is dropped
+when the call returns or raises.  A memo kept for the algebra's lifetime
+would hold every product ever asked of it: the quotient's algebra serves
+tens of thousands of products that never repeat, most of them zero.
+Failing evaluations (CutoffError) are never stored, so they raise again
+every time.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
@@ -45,19 +58,15 @@ def factor_degree(f: Factor) -> int:
     return 0 if f[0] == "a" else f[1] + 1
 
 
-def _factor_key(f: Factor):
-    if f[0] == "a":
-        return (0, 0, f[1])
-    return (f[1] + 1, 1, f[2])
-
-
 @lru_cache(maxsize=None)
 def mono_degree(m: Monomial) -> int:
     return sum(factor_degree(f) for f in m)
 
 
 def make_monomial(factors) -> Monomial:
-    return tuple(sorted(factors, key=_factor_key))
+    # Tuple order puts ("a", i) before every ("b", n, i) and sorts the
+    # D-power factors by (n, i), so it is the canonical order by degree.
+    return tuple(sorted(factors))
 
 
 class SCElement:
@@ -106,6 +115,47 @@ class SCElement:
         return "SCElement(%s)" % self.terms
 
 
+def _pairs(flat: tuple):
+    """(monomial, coefficient) pairs of a flat terms tuple."""
+    it = iter(flat)
+    return zip(it, it)
+
+
+def _flat(terms: dict[Monomial, Fraction]) -> tuple:
+    return tuple(x for term in terms.items() for x in term)
+
+
+def _nonzero(terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    return {m: c for m, c in terms.items() if c}
+
+
+class _Memo:
+    """Monomial-level products and derivatives, kept compact: each value
+    is a flat (monomial, coefficient, ...) tuple over interned monomials
+    and coefficients, and pair rows are keyed (route, n, mu) -> mv."""
+
+    __slots__ = ("rows", "d", "monos", "coefs")
+
+    def __init__(self):
+        self.rows: dict[tuple[str, int, Monomial], dict[Monomial, tuple]] = {}
+        self.d: dict[Monomial, tuple] = {}
+        self.monos: dict[Monomial, Monomial] = {}
+        self.coefs: dict[Fraction, Fraction] = {}
+
+    def __len__(self) -> int:
+        return len(self.d) + sum(len(row) for row in self.rows.values())
+
+    def freeze(self, terms: dict[Monomial, Fraction]) -> tuple:
+        if not terms:
+            return ()
+        monos, coefs = self.monos, self.coefs
+        flat = []
+        for m, c in terms.items():
+            flat.append(monos.setdefault(m, m))
+            flat.append(coefs.setdefault(c, c))
+        return tuple(flat)
+
+
 class SymAlgebra:
     """Computation context for the truncated symmetric algebra."""
 
@@ -116,6 +166,7 @@ class SymAlgebra:
         self.cutoff = vlie.cutoff
         self._factor_cache: dict[Factor, CElement] = {}
         self._pair_cache: dict[tuple[int, Factor, Factor], SCElement] = {}
+        self._memo: _Memo | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -203,20 +254,47 @@ class SymAlgebra:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return SCElement(out)
 
-    def _times_monomial(self, u: SCElement, m: Monomial) -> SCElement:
-        if not m:
-            return u
-        return self.multiply(u, SCElement({m: Fraction(1)}))
+    def _add_times(self, acc: dict, terms, m: Monomial, scale=1) -> None:
+        """acc += scale * (terms . m) for (monomial, coefficient) pairs."""
+        dm = mono_degree(m)
+        scaled = scale != 1
+        for t, c in terms:
+            if m:
+                if mono_degree(t) + dm > self.cutoff:
+                    raise CutoffError("product degree exceeds cutoff %d" % self.cutoff)
+                t = make_monomial(t + m)
+            if scaled:
+                c = c * scale
+            if t in acc:
+                acc[t] += c
+            else:
+                acc[t] = c
+
+    def _d_monomial(self, m: Monomial) -> tuple:
+        """D of one monomial by Leibniz over its factors, as flat terms."""
+        memo = self._memo
+        if memo is not None:
+            got = memo.d.get(m)
+            if got is not None:
+                return got
+        acc: dict[Monomial, Fraction] = {}
+        for k, f in enumerate(m):
+            df = self.from_celement(self.vlie.d(self.factor_celement(f)))
+            self._add_times(acc, df.terms.items(), m[:k] + m[k + 1 :])
+        if memo is None:
+            return _flat(acc)
+        got = memo.d[m] = memo.freeze(acc)
+        return got
+
+    def _d_terms(self, terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+        acc: dict[Monomial, Fraction] = {}
+        for m, c in terms.items():
+            self._add_times(acc, _pairs(self._d_monomial(m)), (), c)
+        return _nonzero(acc)
 
     def d(self, u: SCElement) -> SCElement:
         """The derivation extending D: Leibniz over factors."""
-        out = self.zero()
-        for m, c in u.terms.items():
-            for k, f in enumerate(m):
-                rest = m[:k] + m[k + 1 :]
-                df = self.vlie.d(self.factor_celement(f))
-                out = out + self._times_monomial(self.from_celement(df), rest).scale(c)
-        return out
+        return SCElement(self._d_terms(u.terms))
 
     def d_pow(self, u: SCElement, k: int) -> SCElement:
         for _ in range(k):
@@ -225,46 +303,69 @@ class SymAlgebra:
 
     # -- the n-th products --------------------------------------------------
 
-    def _gen_on_element(self, g: Factor, n: int, v: SCElement) -> SCElement:
-        """Generator route: g acts as a derivation over the factors of v."""
+    @contextmanager
+    def memoized(self):
+        """Memoize monomial-pair products and monomial derivatives inside
+        the block; the memo is dropped on leaving it."""
+        outer = self._memo
+        if outer is None:
+            self._memo = _Memo()
+        try:
+            yield
+        finally:
+            self._memo = outer
+
+    def _pair(self, route: str, n: int, mu: Monomial, mv: Monomial) -> tuple:
+        """mu_n mv along one route, as flat terms."""
+        memo = self._memo
+        if memo is None:
+            return _flat(self._pair_terms(route, n, mu, mv))
+        key = (route, n, mu)
+        row = memo.rows.get(key)
+        if row is None:
+            row = memo.rows[key] = {}
+        got = row.get(mv)
+        if got is None:
+            got = row[mv] = memo.freeze(self._pair_terms(route, n, mu, mv))
+        return got
+
+    def _pair_terms(self, route: str, n: int, mu: Monomial, mv: Monomial) -> dict[Monomial, Fraction]:
+        if route == "generator":
+            return self._gen_on_monomial(mu[0], n, mv)
+        if not mv:
+            return {}
+        if len(mv) == 1:
+            return self._skew_on_generator(mu, n, mv[0])
+        g, rest = mv[:1], mv[1:]
         acc: dict[Monomial, Fraction] = {}
-        for m, c in v.terms.items():
-            for k, f in enumerate(m):
-                w = self._gen_pair(n, g, f)
-                if w.is_zero():
-                    continue
-                rest = m[:k] + m[k + 1 :]
-                for wm, wc in w.terms.items():
-                    prod = make_monomial(wm + rest)
-                    if mono_degree(prod) > self.cutoff:
-                        raise CutoffError("product degree exceeds cutoff %d" % self.cutoff)
-                    acc[prod] = acc.get(prod, Fraction(0)) + wc * c
-        return SCElement(acc)
+        self._add_times(acc, _pairs(self._pair("skew", n, mu, g)), rest)
+        self._add_times(acc, _pairs(self._pair("skew", n, mu, rest)), g)
+        return _nonzero(acc)
 
-    def _skew_on_generator(self, u: SCElement, n: int, g: Factor) -> SCElement:
-        """Skew route base case: u_n g by flipping g over u."""
-        dg = factor_degree(g)
-        du = u.max_degree()
-        out = self.zero()
-        for j in range(n, dg + du):
-            w = self._gen_on_element(g, j, u)
-            if w.is_zero():
+    def _gen_on_monomial(self, g: Factor, n: int, m: Monomial) -> dict[Monomial, Fraction]:
+        """Generator route: g acts as a derivation over the factors of m."""
+        acc: dict[Monomial, Fraction] = {}
+        for k, f in enumerate(m):
+            w = self._gen_pair(n, g, f).terms
+            if w:
+                self._add_times(acc, w.items(), m[:k] + m[k + 1 :])
+        return _nonzero(acc)
+
+    def _skew_on_generator(self, mu: Monomial, n: int, g: Factor) -> dict[Monomial, Fraction]:
+        """Skew route base case: mu_n g by flipping g over mu."""
+        acc: dict[Monomial, Fraction] = {}
+        for j in range(n, factor_degree(g) + mono_degree(mu)):
+            w = self._pair("generator", j, (g,), mu)
+            if not w:
                 continue
-            coef = Fraction((-1) ** (j + 1), factorial(j - n))
-            out = out + self.d_pow(w, j - n).scale(coef)
-        return out
-
-    def _skew_on_monomial(self, u: SCElement, n: int, m: Monomial, coef: Fraction) -> SCElement:
-        if not m:
-            return self.zero()
-        g, rest = m[0], m[1:]
-        first = self._times_monomial(self._skew_on_generator(u, n, g), rest)
-        second = self._skew_on_monomial(u, n, rest, Fraction(1))
-        second = self._times_monomial(second, (g,))
-        return (first + second).scale(coef)
+            terms = dict(_pairs(w))
+            for _ in range(j - n):
+                terms = self._d_terms(terms)
+            self._add_times(acc, terms.items(), (), Fraction((-1) ** (j + 1), factorial(j - n)))
+        return _nonzero(acc)
 
     def product(self, n: int, u: SCElement, v: SCElement, route: str = "auto") -> SCElement:
-        """The n-th product u_n v.
+        """The n-th product u_n v, expanded bilinearly over monomial pairs.
 
         route='generator' requires every monomial of u to be a single
         factor; route='skew' forces the flip formula; 'auto' uses the
@@ -273,19 +374,19 @@ class SymAlgebra:
         """
         if n < 0:
             raise ValueError("product index must be nonnegative")
-        out = self.zero()
-        for m, c in u.terms.items():
-            if route == "generator" or (route == "auto" and len(m) == 1):
-                if len(m) != 1:
+        acc: dict[Monomial, Fraction] = {}
+        for mu, cu in u.terms.items():
+            if route == "generator" or (route == "auto" and len(mu) == 1):
+                if len(mu) != 1:
                     raise ValueError("generator route needs single-factor monomials")
-                out = out + self._gen_on_element(m[0], n, v).scale(c)
+                kind = "generator"
             else:
-                piece = SCElement({m: Fraction(1)})
-                total = self.zero()
-                for mv, cv in v.terms.items():
-                    total = total + self._skew_on_monomial(piece, n, mv, cv)
-                out = out + total.scale(c)
-        return out
+                kind = "skew"
+            for mv, cv in v.terms.items():
+                w = self._pair(kind, n, mu, mv)
+                if w:
+                    self._add_times(acc, _pairs(w), (), cu * cv)
+        return SCElement(acc)
 
 
 # -- spanning checks --------------------------------------------------------
@@ -500,6 +601,7 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
                         out.append(Violation(MODULE, "unique", (lu, lv, "n=%d" % n), fmt(a), fmt(b)))
         return out
 
-    return CheckReport(
-        run_partitioned([unit_part, hd_part, hp_hs_part, ha_part, unique_part])
-    )
+    with sym.memoized():
+        return CheckReport(
+            run_partitioned([unit_part, hd_part, hp_hs_part, ha_part, unique_part])
+        )

@@ -183,3 +183,14 @@ def test_good_fixtures_regenerate_from_examples():
                         ("trivial(2)", "trivial2.cvpa"), ("heisenberg", "heisenberg.cvpa")]:
         regenerated = print_file(courant_to_file(example(name), meta={"example": name}))
         assert regenerated == open(fixture_path(fname)).read(), fname
+
+
+def test_reduce_bound_exits_2_with_one_line(monkeypatch, capsys):
+    import courant_vpa.quotient as quotient_mod
+
+    monkeypatch.setattr(quotient_mod, "MAX_REDUCE_STEPS", 1)
+    code, out, err = run(capsys, "build", fixture_path("exact2.cvpa"), "--max-degree", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert "fusion steps" in err

@@ -1,8 +1,4 @@
-from courant_vpa.courant import check_courant
-from courant_vpa.examples import example
-from courant_vpa.reports import CheckReport, Violation, worker_count
-from courant_vpa.vlie import VertexLie, check_vertex_lie
-from courant_vpa.courant import to_1tca
+from courant_vpa.reports import CheckReport, Violation
 
 
 def test_report_sorted_canonically():
@@ -21,26 +17,3 @@ def test_merge_is_order_independent():
         CheckReport([a]).merge(CheckReport([b])).violations
         == CheckReport([b]).merge(CheckReport([a])).violations
     )
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("COURANT_VPA_THREADS", raising=False)
-    assert worker_count() == 1
-    monkeypatch.setenv("COURANT_VPA_THREADS", "3")
-    assert worker_count() == 3
-    monkeypatch.setenv("COURANT_VPA_THREADS", "0")
-    assert worker_count() >= 1
-    monkeypatch.setenv("COURANT_VPA_THREADS", "junk")
-    assert worker_count() == 1
-
-
-def test_parallel_checkers_agree_with_sequential(monkeypatch):
-    X = example("exact(2)")
-    monkeypatch.delenv("COURANT_VPA_THREADS", raising=False)
-    seq = check_courant(X)
-    seq_vlie = check_vertex_lie(VertexLie(to_1tca(X), 3))
-    monkeypatch.setenv("COURANT_VPA_THREADS", "4")
-    par = check_courant(X)
-    par_vlie = check_vertex_lie(VertexLie(to_1tca(X), 3))
-    assert par.violations == seq.violations
-    assert par_vlie.violations == seq_vlie.violations

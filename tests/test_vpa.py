@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
 from courant_vpa.vlie import CutoffError, VertexLie
-from courant_vpa.vpa import SymAlgebra, check_vpa, mono_degree
+from courant_vpa.vpa import SCElement, SymAlgebra, check_vpa, mono_degree
 
 
 def make(name, cutoff=4):
@@ -107,19 +108,30 @@ def test_check_vpa_passes(name, cutoff):
     assert rep.passed, rep.summary()
 
 
-def test_check_vpa_catches_broken_input():
+def broken_heisenberg():
+    """The Heisenberg pair with [beta, beta] = beta, which breaks skew
+    symmetry."""
     from courant_vpa.linalg import BilinearMap, Vector
     from courant_vpa.tca import OneTruncatedConformalAlgebra
 
     T = to_1tca(example("heisenberg"))
     rows = [list(r) for r in T.p0_11.table]
     rows[0][0] = rows[0][0] + Vector(T.C1, {0: Fraction(1)})  # [beta,beta] = beta
-    bad = OneTruncatedConformalAlgebra(
+    return OneTruncatedConformalAlgebra(
         C0=T.C0, C1=T.C1, partial=T.partial, p0_10=T.p0_10, p0_01=T.p0_01,
         p0_11=BilinearMap(T.C1, T.C1, T.C1, rows), p1_11=T.p1_11,
     )
-    rep = check_vpa(SymAlgebra(VertexLie(bad, 3)))
+
+
+def test_check_vpa_catches_broken_input():
+    rep = check_vpa(SymAlgebra(VertexLie(broken_heisenberg(), 3)))
     assert not rep.passed
+
+
+@pytest.mark.parametrize("cutoff,count", [(2, 64), (3, 281)])
+def test_broken_heisenberg_violation_counts(cutoff, count):
+    rep = check_vpa(SymAlgebra(VertexLie(broken_heisenberg(), cutoff)))
+    assert len(rep.violations) == count
 
 
 def test_degree_zero_part_is_polynomials_in_a():
@@ -145,3 +157,79 @@ def test_multiply_associative_and_unital():
                 lhs = sym.multiply(sym.multiply(a, b), c)
                 rhs = sym.multiply(a, sym.multiply(b, c))
                 assert lhs == rhs
+
+
+# -- the per-check memo ------------------------------------------------------
+
+MEMO_SYMS = {name: make(name, cutoff=3) for name in ("heisenberg", "exact(2)")}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except CutoffError:
+        return CutoffError
+
+
+def _draw_element(data, monos):
+    terms = data.draw(st.dictionaries(
+        st.sampled_from(monos),
+        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
+        min_size=1, max_size=3,
+    ))
+    return SCElement(terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_memo_agrees_with_direct_evaluation(data):
+    name = data.draw(st.sampled_from(sorted(MEMO_SYMS)))
+    sym = MEMO_SYMS[name]
+    monos = sym.spanning_monomials(3, 3)
+    route = data.draw(st.sampled_from(["generator", "skew"]))
+    u = _draw_element(data, [m for m in monos if len(m) == 1] if route == "generator" else monos)
+    v = _draw_element(data, monos)
+    n = data.draw(st.integers(0, 3))
+    ops = [lambda: sym.product(n, u, v, route), lambda: sym.d(v), lambda: sym.d(u)]
+    direct = [_outcome(f) for f in ops]
+    with sym.memoized():
+        filling = [_outcome(f) for f in ops]
+        cached = [_outcome(f) for f in ops]
+    assert filling == direct
+    assert cached == direct
+    assert sym._memo is None
+
+
+def test_cutoff_error_is_never_memoized():
+    # (beta.beta)_0 (beta.D1[beta]) and D(D2[beta]) both leave degree 3
+    sym = make("heisenberg", cutoff=3)
+    beta = sym.b_gen("beta")
+    bb = sym.multiply(beta, beta)
+    v = sym.multiply(beta, sym.b_gen("beta", 1))
+    top = sym.b_gen("beta", 2)
+    failing = [lambda: sym.product(0, bb, v), lambda: sym.d(top)]
+    for f in failing:
+        with pytest.raises(CutoffError):
+            f()
+    with sym.memoized():
+        for _ in range(2):
+            for f in failing:
+                with pytest.raises(CutoffError):
+                    f()
+
+
+def test_check_vpa_drops_its_memo(monkeypatch):
+    sym = make("heisenberg", cutoff=2)
+    assert check_vpa(sym).passed
+    assert sym._memo is None
+    sizes = []
+
+    def failing_multiply(u, v):
+        sizes.append(len(sym._memo))
+        raise RuntimeError("stop")
+
+    monkeypatch.setattr(sym, "multiply", failing_multiply)
+    with pytest.raises(RuntimeError):
+        check_vpa(sym)
+    assert sizes and sizes[0] > 0
+    assert sym._memo is None
