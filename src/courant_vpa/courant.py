@@ -21,7 +21,7 @@ from .linalg import (
     map_apply,
     solve_linear,
 )
-from .reports import CheckReport, Violation, run_partitioned
+from .reports import CheckReport, Violation
 from .tca import OneTruncatedConformalAlgebra, check_all as check_tca_all
 
 MODULE = "courant"
@@ -223,16 +223,13 @@ def check_courant(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
                 if not lhs.is_zero():
                     yield Violation(MODULE, "pi.partial", (la, lb), fmt(lhs), "0")
 
-    parts = [alg_part, module_part, pairing_part, bracket_part, anchor_part, coupling_part]
-    if limit is not None:
-        found = []
-        for part in parts:
-            for v in part():
-                found.append(v)
-                if len(found) >= limit:
-                    return CheckReport(found)
-        return CheckReport(found)
-    return CheckReport(run_partitioned([lambda p=p: list(p()) for p in parts]))
+    found = []
+    for part in (alg_part, module_part, pairing_part, bracket_part, anchor_part, coupling_part):
+        for v in part():
+            found.append(v)
+            if limit is not None and len(found) >= limit:
+                return CheckReport(found)
+    return CheckReport(found)
 
 
 def check_annihilation(X: CourantAlgebroid) -> CheckReport:

@@ -5,6 +5,21 @@ derivations) is stored as structure constants against the bases defined
 here, so equality of canonical sparse forms is equality of the
 mathematical objects.  All arithmetic is over Q via ``fractions.Fraction``;
 no floating point anywhere.
+
+The public ``Vector(space, coeffs)`` constructor coerces and range-checks
+its input.  Results of the kernel arithmetic (``bilin_apply``,
+``map_apply``, ``+``, ``-``, ``scale``, ``vec_combine``) are built by the
+private ``Vector._trusted``, which skips both checks: their indices come
+from vectors and tables that were validated when they were built, and
+their coefficients are products and sums of ``Fraction`` values.  A kernel
+result may also be one of its inputs or a stored vector itself: for
+example ``bilin_apply`` of two basis vectors returns ``table[i][j]``, and
+of a zero argument the map's own zero vector.  That sharing is safe
+because a Vector is never modified after construction: every operation
+returns a new Vector, so no caller can change a table through a value it
+was handed.  Spaces are compared by identity first and by name and basis
+only when they are distinct objects, so a separately built, value-equal
+space is still accepted.
 """
 
 from __future__ import annotations
@@ -66,6 +81,8 @@ class BasedSpace:
             raise KeyError("no basis label %r in space %r" % (label, self.name)) from None
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (
             isinstance(other, BasedSpace)
             and self.name == other.name
@@ -105,16 +122,26 @@ class Vector:
         items = []
         dim = space.dim
         for i in sorted(coeffs):
+            if not 0 <= i < dim:
+                raise IndexError("index %d out of range for space %r" % (i, space.name))
             c = coeffs[i]
             if type(c) is not Fraction:
                 c = Fraction(c)
-            if c == 0:
-                continue
-            if not 0 <= i < dim:
-                raise IndexError("index %d out of range for space %r" % (i, space.name))
-            items.append((i, c))
+            if c:
+                items.append((i, c))
         self.space = space
         self.items = tuple(items)
+
+    @classmethod
+    def _trusted(cls, space: BasedSpace, coeffs: dict[int, Scalar]) -> "Vector":
+        """A kernel result: ``coeffs`` holds only Fraction values at indices
+        already known to lie in ``space``.  Zeros are dropped and indices
+        sorted, as in the public constructor; nothing is coerced or
+        range-checked."""
+        v = object.__new__(cls)
+        v.space = space
+        v.items = tuple(sorted([ic for ic in coeffs.items() if ic[1]]))
+        return v
 
     def __getitem__(self, i: int) -> Scalar:
         for j, c in self.items:
@@ -128,7 +155,7 @@ class Vector:
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Vector)
-            and self.space == other.space
+            and (self.space is other.space or self.space == other.space)
             and self.items == other.items
         )
 
@@ -136,26 +163,35 @@ class Vector:
         return hash((self.space, self.items))
 
     def __add__(self, other: "Vector") -> "Vector":
-        if self.space != other.space:
+        if self.space is not other.space and self.space != other.space:
             raise SpaceMismatch(
                 "cannot add vectors from %r and %r" % (self.space.name, other.space.name)
             )
         coeffs = dict(self.items)
         for i, c in other.items:
-            coeffs[i] = coeffs.get(i, ZERO) + c
-        return Vector(self.space, coeffs)
+            x = coeffs.get(i)
+            coeffs[i] = c if x is None else x + c
+        return Vector._trusted(self.space, coeffs)
 
     def __sub__(self, other: "Vector") -> "Vector":
-        return self + other.scale(Fraction(-1))
+        if self.space is not other.space and self.space != other.space:
+            raise SpaceMismatch(
+                "cannot subtract vectors from %r and %r" % (self.space.name, other.space.name)
+            )
+        coeffs = dict(self.items)
+        for i, c in other.items:
+            x = coeffs.get(i)
+            coeffs[i] = -c if x is None else x - c
+        return Vector._trusted(self.space, coeffs)
 
     def __neg__(self) -> "Vector":
-        return self.scale(Fraction(-1))
+        return Vector._trusted(self.space, {i: -c for i, c in self.items})
 
     def scale(self, factor) -> "Vector":
-        f = Fraction(factor)
-        if f == 0:
-            return Vector(self.space, {})
-        return Vector(self.space, {i: c * f for i, c in self.items})
+        f = factor if type(factor) is Fraction else Fraction(factor)
+        if f == 1:
+            return self
+        return Vector._trusted(self.space, {i: c * f for i, c in self.items} if f else {})
 
     def __repr__(self) -> str:
         return "Vector(%s: %s)" % (self.space.name, format_vector(self))
@@ -197,8 +233,10 @@ def vec_combine(terms: Iterable[tuple[object, Vector]]) -> Vector:
             )
         f = Fraction(c)
         for i, w in v.items:
-            coeffs[i] = coeffs.get(i, ZERO) + f * w
-    return Vector(space, coeffs)
+            y = f * w
+            x = coeffs.get(i)
+            coeffs[i] = y if x is None else x + y
+    return Vector._trusted(space, coeffs)
 
 
 class LinearMap:
@@ -256,15 +294,21 @@ class LinearMap:
 
 
 def map_apply(m: LinearMap, v: Vector) -> Vector:
-    if v.space != m.domain:
+    if v.space is not m.domain and v.space != m.domain:
         raise SpaceMismatch(
             "map_apply: vector in %r, domain is %r" % (v.space.name, m.domain.name)
         )
+    items = v.items
+    if len(items) == 1:
+        (i, c), = items
+        return m.columns[i].scale(c)
     out: dict[int, Scalar] = {}
-    for i, c in v.items:
+    for i, c in items:
         for j, w in m.columns[i].items:
-            out[j] = out.get(j, ZERO) + c * w
-    return Vector(m.codomain, out)
+            y = c * w
+            x = out.get(j)
+            out[j] = y if x is None else x + y
+    return Vector._trusted(m.codomain, out)
 
 
 class BilinearMap:
@@ -276,7 +320,7 @@ class BilinearMap:
     can be built with the flags off.
     """
 
-    __slots__ = ("left", "right", "codomain", "table", "symmetric", "antisymmetric")
+    __slots__ = ("left", "right", "codomain", "table", "symmetric", "antisymmetric", "_zero")
 
     def __init__(
         self,
@@ -313,6 +357,7 @@ class BilinearMap:
         self.right = right
         self.codomain = codomain
         self.table = rows
+        self._zero = Vector._trusted(codomain, {})
         self.symmetric = symmetric
         self.antisymmetric = antisymmetric
 
@@ -365,21 +410,38 @@ class BilinearMap:
 
 
 def bilin_apply(b: BilinearMap, u: Vector, v: Vector) -> Vector:
-    if u.space != b.left:
+    if u.space is not b.left and u.space != b.left:
         raise SpaceMismatch(
             "bilin_apply: left vector in %r, expected %r" % (u.space.name, b.left.name)
         )
-    if v.space != b.right:
+    if v.space is not b.right and v.space != b.right:
         raise SpaceMismatch(
             "bilin_apply: right vector in %r, expected %r" % (v.space.name, b.right.name)
         )
+    table = b.table
+    u_items = u.items
+    v_items = v.items
+    if len(u_items) == 1 and len(v_items) == 1:
+        (i, c), = u_items
+        (j, d), = v_items
+        entry = table[i][j]
+        cd = d if c == 1 else c * d
+        return entry if cd == 1 else entry.scale(cd)
+    if not u_items or not v_items:
+        return b._zero
     out: dict[int, Scalar] = {}
-    for i, c in u.items:
-        row = b.table[i]
-        for j, d in v.items:
-            for k, w in row[j].items:
-                out[k] = out.get(k, ZERO) + c * d * w
-    return Vector(b.codomain, out)
+    for i, c in u_items:
+        row = table[i]
+        for j, d in v_items:
+            entry = row[j].items
+            if not entry:
+                continue
+            cd = c * d
+            for k, w in entry:
+                y = cd * w
+                x = out.get(k)
+                out[k] = y if x is None else x + y
+    return Vector._trusted(b.codomain, out)
 
 
 def rank(vectors: Iterable[Vector]) -> int:

@@ -9,7 +9,7 @@ debuggable straight from the report.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable
 
 
 @dataclass(frozen=True, order=True)
@@ -77,11 +77,3 @@ class CheckReport:
     def __repr__(self) -> str:
         return "CheckReport(passed=%s, n=%d)" % (self.passed, len(self.violations))
 
-
-def run_partitioned(tasks: Sequence[Callable[[], list[Violation]]]) -> list[Violation]:
-    """Run independent enumeration partitions in order and merge their
-    violations; CheckReport sorts them canonically afterwards."""
-    out: list[Violation] = []
-    for t in tasks:
-        out.extend(t())
-    return out

@@ -36,7 +36,7 @@ from .linalg import (
     format_vector,
     map_apply,
 )
-from .reports import CheckReport, Violation, run_partitioned
+from .reports import CheckReport, Violation
 
 MODULE = "tca"
 
@@ -163,31 +163,26 @@ def check_associativity(T: OneTruncatedConformalAlgebra) -> CheckReport:
     """x_0 (y_i z) = y_i (x_0 z) + (x_0 y)_i z over all graded basis triples."""
     elems = _graded_basis(T)
     fmt = format_vector
-
-    def scan(part):
-        out = []
-        for lx, x in part:
-            for ly, y in elems:
-                for lz, z in elems:
-                    for i in (0, 1):
-                        target = x[0] + y[0] + z[0] - i - 2
-                        if target < 0:
-                            continue
-                        yz = iprod(T, i, y, z)
-                        lhs = _value(T, 0, x, yz, target) if yz else (T.C0 if target == 0 else T.C1).zero()
-                        xz = iprod(T, 0, x, z)
-                        t1 = _value(T, i, y, xz, target) if xz else (T.C0 if target == 0 else T.C1).zero()
-                        xy = iprod(T, 0, x, y)
-                        t2 = _value(T, i, xy, z, target) if xy else (T.C0 if target == 0 else T.C1).zero()
-                        rhs = t1 + t2
-                        if lhs != rhs:
-                            out.append(
-                                Violation(MODULE, "assoc.i%d" % i, (lx, ly, lz), fmt(lhs), fmt(rhs))
-                            )
-        return out
-
-    tasks = [lambda p=[e]: scan(p) for e in elems]
-    return CheckReport(run_partitioned(tasks))
+    out = []
+    for lx, x in elems:
+        for ly, y in elems:
+            for lz, z in elems:
+                for i in (0, 1):
+                    target = x[0] + y[0] + z[0] - i - 2
+                    if target < 0:
+                        continue
+                    yz = iprod(T, i, y, z)
+                    lhs = _value(T, 0, x, yz, target) if yz else (T.C0 if target == 0 else T.C1).zero()
+                    xz = iprod(T, 0, x, z)
+                    t1 = _value(T, i, y, xz, target) if xz else (T.C0 if target == 0 else T.C1).zero()
+                    xy = iprod(T, 0, x, y)
+                    t2 = _value(T, i, xy, z, target) if xy else (T.C0 if target == 0 else T.C1).zero()
+                    rhs = t1 + t2
+                    if lhs != rhs:
+                        out.append(
+                            Violation(MODULE, "assoc.i%d" % i, (lx, ly, lz), fmt(lhs), fmt(rhs))
+                        )
+    return CheckReport(out)
 
 
 def check_all(T: OneTruncatedConformalAlgebra) -> CheckReport:

@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .linalg import Vector, bilin_apply, format_vector, map_apply
-from .reports import CheckReport, Violation, run_partitioned
+from .reports import CheckReport, Violation
 from .tca import OneTruncatedConformalAlgebra
 
 MODULE = "vlie"
@@ -449,7 +449,7 @@ def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
                 out.append(Violation(MODULE, "dim", ("degree=%d" % n,), str(cnt), str(inst.B.dim)))
         return out
 
-    return CheckReport(run_partitioned([pairs_part, triples_part, dims_part]))
+    return CheckReport(pairs_part() + triples_part() + dims_part())
 
 
 def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
@@ -468,22 +468,18 @@ def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckR
             return inst.from_a(spec[1])
         return inst.from_b(spec[2], spec[1])
 
-    def scan(chunk):
-        out = []
-        for lu, su, du in chunk:
-            eu = as_element(su)
-            for lv, sv, dv in gens:
-                if du + dv > top:
-                    continue
-                ev = as_element(sv)
-                for i in range(0, du + dv + 1):
-                    closed = inst.product(i, eu, ev)
-                    oracle = inst.sing_oracle(i, su, sv)
-                    if closed != oracle:
-                        out.append(
-                            Violation(MODULE, "oracle", (lu, lv, "i=%d" % i), _fmt(closed), _fmt(oracle))
-                        )
-        return out
-
-    tasks = [lambda c=[g]: scan(c) for g in gens]
-    return CheckReport(run_partitioned(tasks))
+    out = []
+    for lu, su, du in gens:
+        eu = as_element(su)
+        for lv, sv, dv in gens:
+            if du + dv > top:
+                continue
+            ev = as_element(sv)
+            for i in range(0, du + dv + 1):
+                closed = inst.product(i, eu, ev)
+                oracle = inst.sing_oracle(i, su, sv)
+                if closed != oracle:
+                    out.append(
+                        Violation(MODULE, "oracle", (lu, lv, "i=%d" % i), _fmt(closed), _fmt(oracle))
+                    )
+    return CheckReport(out)

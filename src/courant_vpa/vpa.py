@@ -45,7 +45,7 @@ from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb, factorial
 
-from .reports import CheckReport, Violation, run_partitioned
+from .reports import CheckReport, Violation
 from .vlie import CElement, CutoffError, VertexLie
 
 MODULE = "vpa"
@@ -456,6 +456,13 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
     def deg(e: SCElement) -> int:
         return e.max_degree()
 
+    def cached_product(cache, key, n, a, b):
+        # a_n b, evaluated on the first use of ``key`` only; a raise is never stored
+        got = cache.get(key)
+        if got is None:
+            got = cache[key] = sym.product(n, a, b)
+        return got
+
     def unit_part():
         out = []
         one = sym.one()
@@ -476,14 +483,6 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
         for lu, u in firsts:
             p = deg(u)
             u_on: dict[tuple[str, int], SCElement] = {}
-
-            def act(label, elem, n):
-                got = u_on.get((label, n))
-                if got is None:
-                    got = sym.product(n, u, elem)
-                    u_on[(label, n)] = got
-                return got
-
             for lv, v in span_elems:
                 q = deg(v)
                 for lw, w in thirds:
@@ -494,7 +493,9 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
                     lo = max(0, p + q + r - top - 1)
                     for n in range(lo, p + q + r):
                         lhs = sym.product(n, u, vw)
-                        rhs = sym.multiply(act(lv, v, n), w) + sym.multiply(v, act(lw, w, n))
+                        uv = cached_product(u_on, (lv, n), n, u, v)
+                        uw = cached_product(u_on, (lw, n), n, u, w)
+                        rhs = sym.multiply(uv, w) + sym.multiply(v, uw)
                         if lhs != rhs:
                             out.append(
                                 Violation(MODULE, "hd", (lu, lv, lw, "n=%d" % n), fmt(lhs), fmt(rhs))
@@ -559,22 +560,25 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
                 q = deg(v)
                 if p + q > top + 1:
                     continue
+                uv: dict[int, SCElement] = {}
                 for lw, w in thirds:
                     r = deg(w)
+                    vw: dict[int, SCElement] = {}
+                    uw: dict[int, SCElement] = {}
                     for m in range(0, p + q + r):
                         if p + r - m - 1 > top:
                             continue
                         for n in range(0, q + r):
                             if q + r - n - 1 > top or p + q + r - m - n - 2 > top:
                                 continue
-                            lhs = sym.product(m, u, sym.product(n, v, w)) - sym.product(
-                                n, v, sym.product(m, u, w)
+                            lhs = sym.product(m, u, cached_product(vw, n, n, v, w)) - sym.product(
+                                n, v, cached_product(uw, m, m, u, w)
                             )
-                            rhs = sym.zero()
+                            acc: dict[Monomial, Fraction] = {}
                             for i in range(0, m + 1):
-                                rhs = rhs + sym.product(
-                                    m + n - i, sym.product(i, u, v), w
-                                ).scale(comb(m, i))
+                                x = sym.product(m + n - i, cached_product(uv, i, i, u, v), w)
+                                sym._add_times(acc, x.terms.items(), (), comb(m, i))
+                            rhs = SCElement(acc)
                             if lhs != rhs:
                                 out.append(
                                     Violation(
@@ -602,6 +606,4 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
         return out
 
     with sym.memoized():
-        return CheckReport(
-            run_partitioned([unit_part, hd_part, hp_hs_part, ha_part, unique_part])
-        )
+        return CheckReport(unit_part() + hd_part() + hp_hs_part() + ha_part() + unique_part())

@@ -1,3 +1,5 @@
+import os
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -175,6 +177,28 @@ def caught(Y):
     if not check_compat(Y).passed:
         return True
     return not check_tca_all(to_1tca(Y, certify=False)).passed
+
+
+def _pinned_mutant_reports():
+    path = os.path.join(os.path.dirname(__file__), "data", "courant_mutant_reports.txt")
+    with open(path, encoding="utf-8") as fh:
+        return [line.split() for line in fh if not line.startswith("#")]
+
+
+def test_mutant_reports_are_pinned():
+    # per-axiom violation counts of the full report and the axiom of the
+    # limit=1 first violation, for every mutant of two instances
+    pinned = _pinned_mutant_reports()
+    got = []
+    for name in ("exact(2)", "quadratic_lie(sl2)"):
+        for label, Y in mutations(example(name)):
+            full = check_courant(Y)
+            first = check_courant(Y, limit=1).violations
+            counts = Counter(v.axiom for v in full.violations)
+            got.append([name, label, first[0].axiom if first else "-"]
+                       + ["%s=%d" % kv for kv in sorted(counts.items())])
+    assert len(pinned) == 44 + 52
+    assert got == pinned
 
 
 def test_mutation_sensitivity_sl2():
