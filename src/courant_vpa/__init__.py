@@ -1,72 +1,3 @@
 """Exact structure-constant computer algebra for Courant algebroids,
 1-truncated conformal algebras, and the graded vertex Poisson algebras
 they generate."""
-
-from .linalg import (
-    BasedSpace,
-    BilinearMap,
-    LinearMap,
-    Scalar,
-    SpaceMismatch,
-    Vector,
-    bilin_apply,
-    format_vector,
-    map_apply,
-    rank,
-    vec_combine,
-)
-from .reports import CheckReport, Violation
-from .tca import (
-    OneTruncatedConformalAlgebra,
-    check_associativity,
-    check_commutativity,
-    check_derivation,
-    check_leibniz_form,
-)
-from .tca import check_all as check_tca
-from .courant import (
-    CourantAlgebroid,
-    StructureError,
-    UnitalCommAlgebra,
-    check_annihilation,
-    check_compat,
-    check_courant,
-    from_1tca,
-    to_1tca,
-)
-from .examples import example, example_names
-from .vlie import (
-    CElement,
-    CutoffError,
-    VertexLie,
-    check_oracle_agreement,
-    check_vertex_lie,
-)
-from .vpa import SCElement, SymAlgebra, check_vpa
-from .quotient import (
-    CourantQuotient,
-    IdealGenerators,
-    SBElement,
-    check_ideal_stability,
-    check_quotient_dimensions,
-    check_reduce_properties,
-    roundtrip_check,
-)
-from .graded import (
-    GradedVpaView,
-    assemble_view,
-    check_view_dera1,
-    extract_courant,
-    validate_view,
-)
-from .fileformat import (
-    ParseError,
-    StructureFile,
-    courant_to_file,
-    parse,
-    print_file,
-    tca_to_file,
-    view_to_file,
-)
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,0 +1,107 @@
+"""The identities shared by the vertex Lie and vertex Poisson checkers,
+each stated once:
+
+    hs        u_n v = sum_i (-1)^(n+i+1) (1/i!) D^i (v_(n+i) u)
+    hp        (D u)_n v = -n u_(n-1) v
+    dcomm     D(u_n v) - u_n (D v) = -n u_(n-1) v
+    ha        u_m (v_n w) - v_n (u_m w) = sum_i C(m,i) (u_i v)_(m+n-i) w
+    grading   u_n v is homogeneous of degree p + q - n - 1;
+              D raises degree by exactly 1
+
+Here p, q, r are the degrees of u, v, w.  An algebra backend supplies
+``product(n, u, v)``, ``d(u)``, ``zero()`` and ``combine([(coef, elem),
+...])``; its elements compare by value and list their ``degrees()``.  The
+caller supplies the tuples as data: labelled elements ``(label, elem,
+degree)``, the degree ``top`` that bounds the index windows and the
+degree ``dtop`` up to which D may be applied to an argument.  Index
+windows run one past the grading support, so vanishing outside the
+support is asserted too, and start where the product would leave the
+degrees ``top`` allows.  Each product is evaluated once per pair (or per
+triple) however many laws read it.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from math import comb, factorial
+
+from .reports import Violation
+
+
+def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[Violation]:
+    """hs with the grading of u_n v, then grading.d, hp and dcomm on each
+    pair ``((lu, u, p), (lv, v, q))``; hp needs p + 1 <= dtop and dcomm
+    q + 1 <= dtop."""
+    out = []
+    for (lu, u, p), (lv, v, q) in pairs:
+        lo = max(0, p + q - top - 1)
+        puv = {k: alg.product(k, u, v) for k in range(lo, p + q + 2)}
+        # D-power chains of v_k u, each D applied once
+        chains = {k: [alg.product(k, v, u)] for k in range(lo, p + q)}
+        for n in range(lo, p + q + 1):
+            lhs = puv[n]
+            want = p + q - n - 1
+            if any(dd != want for dd in lhs.degrees()):
+                out.append(Violation(module, "grading", (lu, lv, "n=%d" % n), fmt(lhs), "degree %d" % want))
+            terms = []
+            for i in range(0, p + q - n):
+                chain = chains[n + i]
+                while len(chain) <= i:
+                    chain.append(alg.d(chain[-1]))
+                terms.append((Fraction((-1) ** (n + i + 1), factorial(i)), chain[i]))
+            rhs = alg.combine(terms)
+            if lhs != rhs:
+                out.append(Violation(module, "hs", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
+        window = range(max(0, p + q - top), p + q + 2)
+        # -n u_(n-1) v, the right side of hp and dcomm
+        below = {n: alg.combine([(-n, puv[n - 1])]) if n else alg.zero() for n in window}
+        if p + 1 <= dtop:
+            du = alg.d(u)
+            if any(dd != p + 1 for dd in du.degrees()):
+                out.append(Violation(module, "grading.d", (lu,), fmt(du), "degree %d" % (p + 1)))
+            for n in window:
+                lhs = alg.product(n, du, v)
+                rhs = below[n]
+                if lhs != rhs:
+                    out.append(Violation(module, "hp", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
+        if q + 1 <= dtop:
+            dv = alg.d(v)
+            for n in window:
+                lhs = alg.combine([(1, alg.d(puv[n])), (-1, alg.product(n, u, dv))])
+                rhs = below[n]
+                if lhs != rhs:
+                    out.append(Violation(module, "dcomm", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
+    return out
+
+
+def check_ha(alg, module: str, fmt, top: int, triples) -> list[Violation]:
+    """ha on each ``((lu, u, p), (lv, v, q), thirds)`` against every
+    ``(lw, w, r)`` of ``thirds``, skipping the (m, n) whose inner or outer
+    products would leave the degrees ``top`` allows."""
+    out = []
+    for (lu, u, p), (lv, v, q), thirds in triples:
+        uv = {}
+        for lw, w, r in thirds:
+            vw, uw = {}, {}
+            for m in range(0, p + q + r):
+                if p + r - m - 1 > top:
+                    continue
+                for n in range(0, q + r):
+                    if q + r - n - 1 > top or p + q + r - m - n - 2 > top:
+                        continue
+                    if n not in vw:
+                        vw[n] = alg.product(n, v, w)
+                    if m not in uw:
+                        uw[m] = alg.product(m, u, w)
+                    lhs = alg.combine([(1, alg.product(m, u, vw[n])), (-1, alg.product(n, v, uw[m]))])
+                    terms = []
+                    for i in range(0, m + 1):
+                        if i not in uv:
+                            uv[i] = alg.product(i, u, v)
+                        terms.append((comb(m, i), alg.product(m + n - i, uv[i], w)))
+                    rhs = alg.combine(terms)
+                    if lhs != rhs:
+                        out.append(
+                            Violation(module, "ha", (lu, lv, lw, "m=%d" % m, "n=%d" % n), fmt(lhs), fmt(rhs))
+                        )
+    return out

@@ -34,8 +34,9 @@ The i-th products are realized twice, deliberately:
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, factorial
+from math import factorial
 
+from . import laws
 from .linalg import Vector, bilin_apply, format_vector, map_apply
 from .reports import CheckReport, Violation
 from .tca import OneTruncatedConformalAlgebra
@@ -168,6 +169,13 @@ class VertexLie:
             pa = map_apply(self.tca.partial, c.a_part)
             bp[0] = bp[0] + pa if 0 in bp else pa
         return CElement(self.A.zero(), bp)
+
+    def combine(self, terms) -> CElement:
+        """sum of coef * elem over (coef, elem) pairs."""
+        out = self.zero()
+        for coef, c in terms:
+            out = out + c.scale(coef)
+        return out
 
     def d_pow(self, c: CElement, k: int) -> CElement:
         for _ in range(k):
@@ -339,117 +347,35 @@ def _neg_ddx(s: dict[int, CElement]) -> dict[int, CElement]:
 # -- checkers -------------------------------------------------------------
 
 
-def _fmt(c: CElement) -> str:
-    return format_celement(c)
-
-
 def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
     """Component axioms on normal-form basis elements.
 
-    Verified for all tuples whose total degree stays within the cutoff
-    (so every intermediate is representable):
-
-        hp    (D u)_n v = -n u_(n-1) v
-        hs    u_n v = sum_i (-1)^(n+i+1) (1/i!) D^i (v_(n+i) u)
-        ha    u_m (v_n w) - v_n (u_m w) = sum_i C(m,i) (u_i v)_(m+n-i) w
-        dcomm D(u_m v) - u_m (D v) = -m u_(m-1) v
-        grading   u_i v is homogeneous of degree deg u + deg v - i - 1
-
-    m and n range one past the grading support bound, so vanishing outside
-    the support is asserted too.
+    hs, hp, dcomm, ha and grading are stated in ``laws``; they are verified
+    for all tuples whose total degree stays within the cutoff (so every
+    intermediate is representable), with D applied wherever its result
+    stays within the algebra's cutoff.  The normal-form dimensions are
+    checked here: degree 0 is A and each degree 1..cutoff is B.
     """
     top = inst.cutoff if cutoff is None else min(cutoff, inst.cutoff)
-    elems = inst.basis_elements()
-    degs = {l: e.max_degree() for l, e in elems}
-
-    def pairs_part():
-        out = []
-        for lu, u in elems:
-            du = degs[lu]
-            for lv, v in elems:
-                dv = degs[lv]
-                if du + dv > top:
-                    continue
-                total = du + dv
-                # hs + grading
-                for n in range(0, total + 1):
-                    lhs = inst.product(n, u, v)
-                    if any(dd != total - n - 1 for dd in lhs.degrees()):
-                        out.append(
-                            Violation(MODULE, "grading", (lu, lv, "n=%d" % n), _fmt(lhs), "degree %d" % (total - n - 1))
-                        )
-                    rhs = inst.zero()
-                    for i in range(0, total - n):
-                        w = inst.product(n + i, v, u)
-                        sgn = Fraction((-1) ** (n + i + 1), factorial(i))
-                        rhs = rhs + inst.d_pow(w, i).scale(sgn)
-                    if lhs != rhs:
-                        out.append(Violation(MODULE, "hs", (lu, lv, "n=%d" % n), _fmt(lhs), _fmt(rhs)))
-                # hp needs D u representable
-                if du + 1 <= inst.cutoff:
-                    dU = inst.d(u)
-                    for n in range(0, total + 2):
-                        lhs = inst.product(n, dU, v)
-                        rhs = inst.product(n - 1, u, v).scale(-n) if n >= 1 else inst.zero()
-                        if lhs != rhs:
-                            out.append(Violation(MODULE, "hp", (lu, lv, "n=%d" % n), _fmt(lhs), _fmt(rhs)))
-                # [D, u_m] = -m u_(m-1)
-                if dv + 1 <= inst.cutoff:
-                    dV = inst.d(v)
-                    for mth in range(0, total + 2):
-                        lhs = inst.d(inst.product(mth, u, v)) - inst.product(mth, u, dV)
-                        rhs = inst.product(mth - 1, u, v).scale(-mth) if mth >= 1 else inst.zero()
-                        if lhs != rhs:
-                            out.append(Violation(MODULE, "dcomm", (lu, lv, "m=%d" % mth), _fmt(lhs), _fmt(rhs)))
-        return out
-
-    def triples_part():
-        out = []
-        for lu, u in elems:
-            du = degs[lu]
-            for lv, v in elems:
-                dv = degs[lv]
-                if du + dv > top:
-                    continue
-                for lw, w in elems:
-                    dw = degs[lw]
-                    total = du + dv + dw
-                    if total > top:
-                        continue
-                    for m in range(0, du + dv + dw):
-                        for n in range(0, dv + dw):
-                            lhs = inst.product(m, u, inst.product(n, v, w)) - inst.product(
-                                n, v, inst.product(m, u, w)
-                            )
-                            rhs = inst.zero()
-                            for i in range(0, m + 1):
-                                rhs = rhs + inst.product(
-                                    m + n - i, inst.product(i, u, v), w
-                                ).scale(comb(m, i))
-                            if lhs != rhs:
-                                out.append(
-                                    Violation(
-                                        MODULE,
-                                        "ha",
-                                        (lu, lv, lw, "m=%d" % m, "n=%d" % n),
-                                        _fmt(lhs),
-                                        _fmt(rhs),
-                                    )
-                                )
-        return out
+    elems = [(l, e, e.max_degree()) for l, e in inst.basis_elements()]
+    pairs = [(x, y) for x in elems for y in elems if x[2] + y[2] <= top]
+    triples = [(x, y, [z for z in elems if x[2] + y[2] + z[2] <= top]) for x, y in pairs]
 
     def dims_part():
-        # normal-form dimensions: deg 0 is A, each 1 <= n <= cutoff is B
         out = []
-        if len([l for l, e in elems if degs[l] == 0]) != inst.A.dim:
+        if len([l for l, e, d in elems if d == 0]) != inst.A.dim:
             out.append(Violation(MODULE, "dim", ("degree=0",), "basis count", str(inst.A.dim)))
         for n in range(1, top + 1):
-            cnt = len([l for l, e in elems if degs[l] == n])
+            cnt = len([l for l, e, d in elems if d == n])
             if cnt != inst.B.dim:
                 out.append(Violation(MODULE, "dim", ("degree=%d" % n,), str(cnt), str(inst.B.dim)))
         return out
 
-    return CheckReport(pairs_part() + triples_part() + dims_part())
+    return CheckReport(
+        laws.check_pair_laws(inst, MODULE, format_celement, top, inst.cutoff, pairs)
+        + laws.check_ha(inst, MODULE, format_celement, top, triples)
+        + dims_part()
+    )
 
 
 def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
@@ -480,6 +406,6 @@ def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckR
                 oracle = inst.sing_oracle(i, su, sv)
                 if closed != oracle:
                     out.append(
-                        Violation(MODULE, "oracle", (lu, lv, "i=%d" % i), _fmt(closed), _fmt(oracle))
+                        Violation(MODULE, "oracle", (lu, lv, "i=%d" % i), format_celement(closed), format_celement(oracle))
                     )
     return CheckReport(out)

@@ -43,8 +43,9 @@ from contextlib import contextmanager
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from math import comb, factorial
+from math import factorial
 
+from . import laws
 from .reports import CheckReport, Violation
 from .vlie import CElement, CutoffError, VertexLie
 
@@ -270,6 +271,13 @@ class SymAlgebra:
             else:
                 acc[t] = c
 
+    def combine(self, terms) -> SCElement:
+        """sum of coef * elem over (coef, elem) pairs."""
+        acc: dict[Monomial, Fraction] = {}
+        for coef, u in terms:
+            self._add_times(acc, u.terms.items(), (), coef)
+        return SCElement(acc)
+
     def _d_monomial(self, m: Monomial) -> tuple:
         """D of one monomial by Leibniz over its factors, as flat terms."""
         memo = self._memo
@@ -430,12 +438,10 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
 
         unit      u_n 1 = 0 and 1_n v = 0
         hd        u_n (v.w) = (u_n v).w + v.(u_n w)
-        hp        (D u)_n v = -n u_(n-1) v
-        hs        u_n v = sum_i (-1)^(n+i+1) (1/i!) D^i (v_(n+i) u)
-        ha        half-commutator on generator pairs against spanning thirds
-        dcomm     D(u_n v) - u_n (D v) = -n u_(n-1) v
-        grading   every product term lands in degree p + q - n - 1;
-                  D raises degree by exactly 1
+        hs, hp, dcomm, grading   (stated in ``laws``) on pairs of spanning
+                  monomials of at most two factors
+        ha        (stated in ``laws``) on generator pairs against spanning
+                  thirds
         unique    generator route vs skew route agree on generator pairs
 
     Composite factors beyond the enumerated shapes are redundant: both
@@ -444,17 +450,11 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
     deterministic sample of larger monomials is still mixed in.
     """
     top = sym.cutoff if cutoff is None else min(cutoff, sym.cutoff)
-    gens = sym.generators(top)
-    gen_elems = [(l, sym.monomial([f])) for l, f in gens]
-    span2 = [m for m in sym.spanning_monomials(top, 2)]
-    span_elems = [(format_monomial(sym, m), SCElement({m: Fraction(1)})) for m in span2]
-    composites = [(l, e) for l, e in span_elems if sum(1 for _ in l.split(".")) > 1 and l != "1"]
-    lead_sample = _sample(composites, 8)
-    firsts = gen_elems + lead_sample
+    gen_elems = [(l, sym.monomial([f]), factor_degree(f)) for l, f in sym.generators(top)]
+    span2 = sym.spanning_monomials(top, 2)
+    span_elems = [(format_monomial(sym, m), SCElement({m: Fraction(1)}), mono_degree(m)) for m in span2]
+    composites = [x for m, x in zip(span2, span_elems) if len(m) > 1]
     fmt = lambda u: format_element(sym, u)
-
-    def deg(e: SCElement) -> int:
-        return e.max_degree()
 
     def cached_product(cache, key, n, a, b):
         # a_n b, evaluated on the first use of ``key`` only; a raise is never stored
@@ -466,8 +466,7 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
     def unit_part():
         out = []
         one = sym.one()
-        for l, u in span_elems:
-            p = deg(u)
+        for l, u, p in span_elems:
             for n in range(0, p + 1):
                 got = sym.product(n, u, one)
                 if not got.is_zero():
@@ -479,14 +478,11 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
 
     def hd_part():
         out = []
-        thirds = gen_elems + [("1", sym.one())] + _sample(composites, 6)
-        for lu, u in firsts:
-            p = deg(u)
+        thirds = gen_elems + [("1", sym.one(), 0)] + _sample(composites, 6)
+        for lu, u, p in gen_elems + _sample(composites, 8):
             u_on: dict[tuple[str, int], SCElement] = {}
-            for lv, v in span_elems:
-                q = deg(v)
-                for lw, w in thirds:
-                    r = deg(w)
+            for lv, v, q in span_elems:
+                for lw, w, r in thirds:
                     if q + r > top:
                         continue
                     vw = sym.multiply(v, w)
@@ -502,101 +498,10 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
                             )
         return out
 
-    def hp_hs_part():
-        out = []
-        for lu, u in span_elems:
-            p = deg(u)
-            for lv, v in span_elems:
-                q = deg(v)
-                if p + q > top + 1:
-                    continue
-                lo = max(0, p + q - top - 1)
-                # u_k v and v_k u across the whole support window, computed once
-                puv = {k: sym.product(k, u, v) for k in range(lo, p + q + 2)}
-                pvu = {k: sym.product(k, v, u) for k in range(lo, p + q)}
-                # D-power chains of v_k u, each D applied once
-                chains = {k: [w] for k, w in pvu.items()}
-                # hs, plus the grading of each product
-                for n in range(lo, p + q + 1):
-                    lhs = puv.get(n, sym.zero())
-                    want = p + q - n - 1
-                    if any(dd != want for dd in lhs.degrees()):
-                        out.append(
-                            Violation(MODULE, "grading", (lu, lv, "n=%d" % n), fmt(lhs), "degree %d" % want)
-                        )
-                    rhs = sym.zero()
-                    for i in range(0, p + q - n):
-                        chain = chains[n + i]
-                        while len(chain) <= i:
-                            chain.append(sym.d(chain[-1]))
-                        rhs = rhs + chain[i].scale(Fraction((-1) ** (n + i + 1), factorial(i)))
-                    if lhs != rhs:
-                        out.append(Violation(MODULE, "hs", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
-                # hp and dcomm need D of one side representable
-                if p + 1 <= top:
-                    du = sym.d(u)
-                    if any(dd != p + 1 for dd in du.degrees()):
-                        out.append(Violation(MODULE, "grading.d", (lu,), fmt(du), "degree %d" % (p + 1)))
-                    for n in range(max(0, p + q - top), p + q + 2):
-                        lhs = sym.product(n, du, v)
-                        rhs = puv[n - 1].scale(-n) if n >= 1 else sym.zero()
-                        if lhs != rhs:
-                            out.append(Violation(MODULE, "hp", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
-                if q + 1 <= top:
-                    dv = sym.d(v)
-                    for n in range(max(0, p + q - top), p + q + 2):
-                        lhs = sym.d(puv[n]) - sym.product(n, u, dv)
-                        rhs = puv[n - 1].scale(-n) if n >= 1 else sym.zero()
-                        if lhs != rhs:
-                            out.append(Violation(MODULE, "dcomm", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
-        return out
-
-    def ha_part():
-        out = []
-        thirds = gen_elems + _sample(composites, 6)
-        for lu, u in gen_elems:
-            p = deg(u)
-            for lv, v in gen_elems:
-                q = deg(v)
-                if p + q > top + 1:
-                    continue
-                uv: dict[int, SCElement] = {}
-                for lw, w in thirds:
-                    r = deg(w)
-                    vw: dict[int, SCElement] = {}
-                    uw: dict[int, SCElement] = {}
-                    for m in range(0, p + q + r):
-                        if p + r - m - 1 > top:
-                            continue
-                        for n in range(0, q + r):
-                            if q + r - n - 1 > top or p + q + r - m - n - 2 > top:
-                                continue
-                            lhs = sym.product(m, u, cached_product(vw, n, n, v, w)) - sym.product(
-                                n, v, cached_product(uw, m, m, u, w)
-                            )
-                            acc: dict[Monomial, Fraction] = {}
-                            for i in range(0, m + 1):
-                                x = sym.product(m + n - i, cached_product(uv, i, i, u, v), w)
-                                sym._add_times(acc, x.terms.items(), (), comb(m, i))
-                            rhs = SCElement(acc)
-                            if lhs != rhs:
-                                out.append(
-                                    Violation(
-                                        MODULE,
-                                        "ha",
-                                        (lu, lv, lw, "m=%d" % m, "n=%d" % n),
-                                        fmt(lhs),
-                                        fmt(rhs),
-                                    )
-                                )
-        return out
-
     def unique_part():
         out = []
-        for lu, u in gen_elems:
-            p = deg(u)
-            for lv, v in gen_elems:
-                q = deg(v)
+        for lu, u, p in gen_elems:
+            for lv, v, q in gen_elems:
                 lo = max(0, p + q - top - 1)
                 for n in range(lo, p + q):
                     a = sym.product(n, u, v, route="generator")
@@ -605,5 +510,14 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
                         out.append(Violation(MODULE, "unique", (lu, lv, "n=%d" % n), fmt(a), fmt(b)))
         return out
 
+    pairs = [(x, y) for x in span_elems for y in span_elems if x[2] + y[2] <= top + 1]
+    ha_thirds = gen_elems + _sample(composites, 6)
+    triples = [(x, y, ha_thirds) for x in gen_elems for y in gen_elems if x[2] + y[2] <= top + 1]
     with sym.memoized():
-        return CheckReport(unit_part() + hd_part() + hp_hs_part() + ha_part() + unique_part())
+        return CheckReport(
+            unit_part()
+            + hd_part()
+            + laws.check_pair_laws(sym, MODULE, fmt, top, top, pairs)
+            + laws.check_ha(sym, MODULE, fmt, top, triples)
+            + unique_part()
+        )

@@ -1,13 +1,17 @@
 """The shared laws (hs, hp, dcomm, ha, grading) as both checkers report
-them: pinned per-axiom violation counts on table mutants."""
+them: pinned per-axiom violation counts on table mutants, and reports
+that do not depend on how generators are labelled."""
 
 import os
 from collections import Counter
 from fractions import Fraction
 
+import pytest
+
 from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
-from courant_vpa.linalg import BilinearMap, LinearMap
+from courant_vpa.fileformat import parse, print_file, tca_to_file
+from courant_vpa.linalg import BilinearMap, LinearMap, Vector
 from courant_vpa.tca import OneTruncatedConformalAlgebra
 from courant_vpa.vlie import VertexLie, check_vertex_lie
 from courant_vpa.vpa import SymAlgebra, check_vpa
@@ -18,7 +22,7 @@ TABLES = ("partial", "p0_10", "p0_01", "p0_11", "p1_11")
 
 
 def _bump(v, k):
-    return v + type(v)(v.space, {k: Fraction(1)})
+    return v + Vector(v.space, {k: Fraction(1)})
 
 
 def table_mutants(T):
@@ -67,3 +71,19 @@ def test_mutant_reports_are_pinned():
     assert len(pinned) == 5 + 36
     assert mutant_reports() == pinned
 
+
+def relabelled_broken_heisenberg(label):
+    """The broken Heisenberg pair read back from a file in which the
+    generator ``beta`` is called ``label``."""
+    text = print_file(tca_to_file(broken_heisenberg())).replace("beta", label)
+    T = parse(text).tca()
+    assert T.C1.basis == (label,)
+    return T
+
+
+@pytest.mark.parametrize("cutoff,count", [(2, 64), (3, 281)])
+def test_dotted_labels_leave_vpa_report_unchanged(cutoff, count):
+    # '.' is legal inside a label, so a generator D0[b.x] must not be
+    # taken for a product of two factors
+    rep = check_vpa(SymAlgebra(VertexLie(relabelled_broken_heisenberg("b.x"), cutoff)))
+    assert len(rep.violations) == count
