@@ -356,8 +356,9 @@ def from_1tca(
 
     The unit of A is solved for exactly from the multiplication table.
     Raises StructureError (with the offending report attached) when T fails
-    the conformal-algebra checks or the supplied multiplication/action
-    fail the bridge compatibilities.
+    the conformal-algebra checks or the rebuilt algebroid fails
+    ``check_courant``, which covers the base-algebra and module laws and
+    implies every ``check_compat`` identity.
     """
     A = T.C0
     if (mult.left, mult.right, mult.codomain) != (A, A, A):
@@ -386,7 +387,7 @@ def from_1tca(
         partial=T.partial,
     )
     if certify:
-        rep = check_tca_all(T).merge(check_compat(X))
+        rep = check_tca_all(T).merge(check_courant(X))
         if not rep.passed:
-            raise StructureError("compatibility violations in from_1tca", rep)
+            raise StructureError("axiom violations in from_1tca", rep)
     return X

@@ -46,7 +46,7 @@ from fractions import Fraction
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra
 from .graded import GradedVpaView
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, scalar_to_str
+from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, scalar_from_str, scalar_to_str
 from .tca import OneTruncatedConformalAlgebra
 
 LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
@@ -152,13 +152,10 @@ class _ExprParser:
             raise ParseError("expected a term", self.line, col)
         self.i += 1
         if re.fullmatch(r"\d+(?:/\d+)?", tok):
-            if "/" in tok:
-                num, den = tok.split("/")
-                if int(den) == 0:
-                    raise ParseError("zero denominator in %r" % tok, self.line, col)
-                coeff = Fraction(int(num), int(den))
-            else:
-                coeff = Fraction(int(tok))
+            try:
+                coeff = scalar_from_str(tok)
+            except ValueError as err:
+                raise ParseError(str(err), self.line, col) from None
             tok2, col2 = self.peek()
             if tok2 == "*":
                 self.i += 1

@@ -29,10 +29,11 @@ from .reports import Violation
 
 
 def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[Violation]:
-    """hs with the grading of u_n v, then grading.d, hp and dcomm on each
-    pair ``((lu, u, p), (lv, v, q))``; hp needs p + 1 <= dtop and dcomm
-    q + 1 <= dtop."""
+    """hs with the grading of u_n v, then hp and dcomm on each pair
+    ``((lu, u, p), (lv, v, q))``, and grading.d once per label ``lu``; hp
+    and grading.d need p + 1 <= dtop and dcomm q + 1 <= dtop."""
     out = []
+    d_checked = set()
     for (lu, u, p), (lv, v, q) in pairs:
         lo = max(0, p + q - top - 1)
         puv = {k: alg.product(k, u, v) for k in range(lo, p + q + 2)}
@@ -57,8 +58,9 @@ def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[V
         below = {n: alg.combine([(-n, puv[n - 1])]) if n else alg.zero() for n in window}
         if p + 1 <= dtop:
             du = alg.d(u)
-            if any(dd != p + 1 for dd in du.degrees()):
+            if lu not in d_checked and any(dd != p + 1 for dd in du.degrees()):
                 out.append(Violation(module, "grading.d", (lu,), fmt(du), "degree %d" % (p + 1)))
+            d_checked.add(lu)
             for n in window:
                 lhs = alg.product(n, du, v)
                 rhs = below[n]

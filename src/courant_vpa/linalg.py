@@ -20,6 +20,10 @@ returns a new Vector, so no caller can change a table through a value it
 was handed.  Spaces are compared by identity first and by name and basis
 only when they are distinct objects, so a separately built, value-equal
 space is still accepted.
+
+``Echelon``, the one exact row elimination (the quotient's relations,
+``rank``, ``solve_linear``), stores each sparse row under its largest key
+with coefficient 1, and no row holds another row's lead.
 """
 
 from __future__ import annotations
@@ -385,9 +389,6 @@ class BilinearMap:
             rows.append(row)
         return cls(left, right, codomain, rows, symmetric=symmetric, antisymmetric=antisymmetric)
 
-    def entry(self, i: int, j: int) -> Vector:
-        return self.table[i][j]
-
     def __eq__(self, other) -> bool:
         """Equality of the underlying tables; flags are metadata only."""
         return (
@@ -444,62 +445,88 @@ def bilin_apply(b: BilinearMap, u: Vector, v: Vector) -> Vector:
     return Vector._trusted(b.codomain, out)
 
 
-def rank(vectors: Iterable[Vector]) -> int:
-    """Rank of a family of vectors, by exact Gaussian elimination."""
-    rows = [dict(v.items) for v in vectors if not v.is_zero()]
-    r = 0
-    pivots: list[tuple[int, dict[int, Scalar]]] = []
-    for row in rows:
-        for piv, prow in pivots:
-            c = row.get(piv)
+class Echelon:
+    """Fully reduced echelon basis of the span of sparse rows.
+
+    Rows are ``{key: Fraction}`` dicts over totally ordered keys.  Each row
+    is stored in ``rows`` under its lead, its largest key, with coefficient
+    1, and no row holds another row's lead; ``insert`` keeps that
+    invariant.  For a fixed key order this basis is unique, so it does not
+    depend on the order in which rows were inserted.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+
+    @property
+    def dim(self) -> int:
+        return len(self.rows)
+
+    def eliminate(self, vec: Mapping) -> dict:
+        """``vec`` minus the multiples of rows that clear its leads.
+
+        The result holds no lead, and it is empty exactly when ``vec`` lies
+        in the span.  Subtracting a row changes no other lead's
+        coefficient, so one pass over the leads present in ``vec`` clears
+        them all.
+        """
+        out = {k: c for k, c in vec.items() if c}
+        rows = self.rows
+        for lead in [k for k in out if k in rows]:
+            _sub_scaled(out, out[lead], rows[lead])
+        return out
+
+    def insert(self, vec: Mapping) -> bool:
+        """Add ``vec`` to the span; False when it already lay in it."""
+        vec = self.eliminate(vec)
+        if not vec:
+            return False
+        lead = max(vec)
+        inv = ONE / vec[lead]
+        row = {k: c * inv for k, c in vec.items()}
+        # clear the new lead from every other row
+        for other in self.rows.values():
+            c = other.get(lead)
             if c:
-                f = c / prow[piv]
-                for j, w in prow.items():
-                    nv = row.get(j, ZERO) - f * w
-                    if nv == 0:
-                        row.pop(j, None)
-                    else:
-                        row[j] = nv
-        if row:
-            piv = min(row)
-            pivots.append((piv, row))
-            r += 1
-    return r
+                _sub_scaled(other, c, row)
+        self.rows[lead] = row
+        return True
+
+
+def _sub_scaled(dst: dict, c: Scalar, src: dict) -> None:
+    """``dst -= c * src`` in place, dropping the keys that cancel."""
+    for k, w in src.items():
+        nv = dst.get(k, ZERO) - c * w
+        if nv:
+            dst[k] = nv
+        else:
+            del dst[k]
+
+
+def rank(vectors: Iterable[Vector]) -> int:
+    """Rank of a family of vectors, by exact elimination."""
+    ech = Echelon()
+    for v in vectors:
+        ech.insert(dict(v.items))
+    return ech.dim
 
 
 def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | None:
     """One exact solution of rows * x = rhs, or None if inconsistent.
 
-    Free variables are set to 0.  Dense elimination; fine at desk scale.
+    Free variables are set to 0.  Column j is keyed -j, so leads fall on the
+    leftmost columns as in Gauss-Jordan, and the right-hand side is keyed
+    -n, below every column: a row led by it reads 0 = 1.
     """
-    m = [list(map(Fraction, row)) + [Fraction(r)] for row, r in zip(rows, rhs)]
-    n_rows = len(m)
-    n_cols = len(rows[0]) if rows else 0
-    piv_cols = []
-    pr = 0
-    for pc in range(n_cols):
-        pivot = None
-        for r in range(pr, n_rows):
-            if m[r][pc] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[pr], m[pivot] = m[pivot], m[pr]
-        f = m[pr][pc]
-        m[pr] = [x / f for x in m[pr]]
-        for r in range(n_rows):
-            if r != pr and m[r][pc] != 0:
-                g = m[r][pc]
-                m[r] = [x - g * y for x, y in zip(m[r], m[pr])]
-        piv_cols.append(pc)
-        pr += 1
-        if pr == n_rows:
-            break
-    for r in range(pr, n_rows):
-        if m[r][n_cols] != 0:
-            return None
-    sol = [ZERO] * n_cols
-    for r, pc in enumerate(piv_cols):
-        sol[pc] = m[r][n_cols]
+    n = len(rows[0]) if rows else 0
+    ech = Echelon()
+    for row, r in zip(rows, rhs):
+        vec = {-j: Fraction(x) for j, x in enumerate(row)}
+        vec[-n] = Fraction(r)
+        ech.insert(vec)
+    if -n in ech.rows:
+        return None
+    sol = [ZERO] * n
+    for lead, row in ech.rows.items():
+        sol[-lead] = row.get(-n, ZERO)
     return sol

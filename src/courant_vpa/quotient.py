@@ -23,8 +23,10 @@ instance, x.x.D^2(xD) fuses to 0 one way and to -2 xD.dx.dx the other, so
 xD.dx.dx itself lies in the ideal).  For each degree up to the cutoff the
 finite subspace of such residual relations is generated by reducing
 (pure-B monomial).D^k(relator) products and closing under multiplication
-by degree-0 generators, kept in reduced echelon form; stage two eliminates
-against it.  Every eliminated combination is produced from ideal elements
+by degree-0 generators, kept as a ``linalg.Echelon``: each row is stored
+under its largest monomial with coefficient 1 and holds no other row's
+lead, so the basis is unique and stage two eliminates against it in one
+pass.  Every eliminated combination is produced from ideal elements
 only, so reduction is exact; degrees 0 and 1 never carry relations, which
 is the graded splitting that makes the round trip on-the-nose.  The full
 ideal is never materialized (it has unbounded A-factor content); only its
@@ -41,7 +43,7 @@ from fractions import Fraction
 from math import comb
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra, check_courant, to_1tca
-from .linalg import BilinearMap, LinearMap, Vector, format_vector, rank
+from .linalg import BilinearMap, Echelon, LinearMap, Vector, format_vector, rank
 from .reports import CheckReport, Violation
 from .vlie import VertexLie
 from .vpa import (
@@ -133,70 +135,6 @@ class IdealGenerators:
         return self.E0 + self.E1
 
 
-class _Echelon:
-    """Reduced echelon basis for a subspace of a fixed degree's monomial
-    span; reduction against it is the canonical elimination map."""
-
-    def __init__(self):
-        self.rows: dict[Monomial, dict[Monomial, Fraction]] = {}
-
-    @staticmethod
-    def _lead(row: dict[Monomial, Fraction]) -> Monomial:
-        return max(row)
-
-    def eliminate(self, vec: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        out = dict(vec)
-        changed = True
-        while changed:
-            changed = False
-            for m in sorted(out, reverse=True):
-                c = out.get(m)
-                if not c:
-                    out.pop(m, None)
-                    continue
-                row = self.rows.get(m)
-                if row is None:
-                    continue
-                for rm, rc in row.items():
-                    nv = out.get(rm, Fraction(0)) - c * rc
-                    if nv == 0:
-                        out.pop(rm, None)
-                    else:
-                        out[rm] = nv
-                changed = True
-                break
-        return {m: c for m, c in out.items() if c != 0}
-
-    def insert(self, vec: dict[Monomial, Fraction]) -> bool:
-        vec = self.eliminate(vec)
-        if not vec:
-            return False
-        lead = self._lead(vec)
-        inv = Fraction(1) / vec[lead]
-        vec = {m: c * inv for m, c in vec.items()}
-        self.rows[lead] = vec
-        # keep the basis fully reduced
-        for other_lead in list(self.rows):
-            if other_lead == lead:
-                continue
-            row = self.rows[other_lead]
-            c = row.get(lead)
-            if c:
-                new = dict(row)
-                for m, rc in vec.items():
-                    nv = new.get(m, Fraction(0)) - c * rc
-                    if nv == 0:
-                        new.pop(m, None)
-                    else:
-                        new[m] = nv
-                self.rows[other_lead] = new
-        return True
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-
 class CourantQuotient:
     """Pipeline context: Courant algebroid -> conformal pair -> vertex Lie
     algebra -> symmetric algebra -> quotient normal forms."""
@@ -208,7 +146,7 @@ class CourantQuotient:
         self.sym = SymAlgebra(self.vlie)
         self.cutoff = cutoff
         self.relators = IdealGenerators(self)
-        self._relations = {n: _Echelon() for n in range(2, cutoff + 1)}
+        self._relations = {n: Echelon() for n in range(2, cutoff + 1)}
         self._build_relations()
 
     # -- stage-one fusion ---------------------------------------------------
@@ -303,7 +241,6 @@ class CourantQuotient:
         sym = self.sym
         for n in range(2, self.cutoff + 1):
             ech = self._relations[n]
-            new_rows = []
             for _, g in self.relators.all():
                 gdeg = g.max_degree()
                 for k in range(0, n - gdeg + 1):
@@ -311,11 +248,7 @@ class CourantQuotient:
                     rem = n - gdeg - k
                     for m in self._pure_b_monomials(rem):
                         prod = sym.multiply(SCElement({m: Fraction(1)}), dk)
-                        row = self._fuse_only(prod)
-                        if row:
-                            new_rows.append(row)
-            for row in new_rows:
-                ech.insert(row)
+                        ech.insert(self._fuse_only(prod))
             # closure: a relation times a degree-0 generator is a relation
             changed = True
             while changed:

@@ -16,7 +16,7 @@ from courant_vpa.courant import (
 )
 from courant_vpa.examples import example
 from courant_vpa.linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply
-from courant_vpa.tca import check_all as check_tca_all
+from courant_vpa.tca import OneTruncatedConformalAlgebra, check_all as check_tca_all
 
 PASSING = ["trivial(1)", "trivial(2)", "trivial(3)", "heisenberg",
            "quadratic_lie(sl2)", "exact(2)", "exact(3)", "exact(4)"]
@@ -81,6 +81,30 @@ def test_from_1tca_rejects_incompatible_action():
     T = to_1tca(X)
     with pytest.raises(StructureError):
         from_1tca(T, X.A.mult, perturb(X.action, 1, 0, 0))
+
+
+def test_from_1tca_rejects_noncommutative_base():
+    # e.e = e, e.f = f, f.e = e, f.f = f has left unit e but is not
+    # commutative, and f acts on b by 2 so (f.e)b != f(eb); with every
+    # conformal table zero, the bridge compatibilities all hold
+    A = BasedSpace("A", ["e", "f"])
+    B = BasedSpace("B", ["b"])
+    mult = BilinearMap.from_entries(
+        A, A, A, {("e", "e"): {"e": 1}, ("e", "f"): {"f": 1}, ("f", "e"): {"e": 1}, ("f", "f"): {"f": 1}}
+    )
+    action = BilinearMap.from_entries(A, B, B, {("e", "b"): {"b": 1}, ("f", "b"): {"b": 2}})
+    T = OneTruncatedConformalAlgebra(
+        C0=A, C1=B, partial=LinearMap.zero(A, B),
+        p0_10=BilinearMap.zero(B, A, A), p0_01=BilinearMap.zero(A, B, A),
+        p0_11=BilinearMap.zero(B, B, B), p1_11=BilinearMap.zero(B, B, A),
+    )
+    Y = from_1tca(T, mult, action, certify=False)
+    assert Y.A.unit == A.unit_vector("e")
+    assert check_compat(Y).passed
+    with pytest.raises(StructureError) as err:
+        from_1tca(T, mult, action)
+    counts = Counter(v.axiom for v in err.value.report.violations)
+    assert counts == {"A.comm": 2, "mod.assoc": 2}
 
 
 def test_anchor_kills_unit_on_passing_instances():

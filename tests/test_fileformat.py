@@ -52,6 +52,7 @@ def test_zero_denominator_is_positioned_error():
         parse(bad)
     assert "denominator" in str(err.value)
     assert err.value.line == 5
+    assert (err.value.message, err.value.col) == ("zero denominator in '1/0'", 12)
 
 
 def test_undefined_space_reference():

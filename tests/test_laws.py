@@ -1,6 +1,7 @@
 """The shared laws (hs, hp, dcomm, ha, grading) as both checkers report
-them: pinned per-axiom violation counts on table mutants, and reports
-that do not depend on how generators are labelled."""
+them: pinned per-axiom violation counts on table mutants, reports that do
+not depend on how generators are labelled, and one grading.d violation
+per bad D."""
 
 import os
 from collections import Counter
@@ -87,3 +88,27 @@ def test_dotted_labels_leave_vpa_report_unchanged(cutoff, count):
     # taken for a product of two factors
     rep = check_vpa(SymAlgebra(VertexLie(relabelled_broken_heisenberg("b.x"), cutoff)))
     assert len(rep.violations) == count
+
+
+class BrokenD:
+    """A VertexLie whose D of one element also returns the element itself,
+    so that D u has degrees p and p + 1."""
+
+    def __init__(self, inst, bad):
+        self.inst = inst
+        self.bad = bad
+
+    def __getattr__(self, name):
+        return getattr(self.inst, name)
+
+    def d(self, u):
+        du = self.inst.d(u)
+        return du + u if u == self.bad else du
+
+
+def test_bad_d_is_reported_once():
+    inst = VertexLie(to_1tca(example("heisenberg")), 3)
+    bad = inst.from_b(inst.B.unit_vector("beta"), 0)
+    rep = check_vertex_lie(BrokenD(inst, bad))
+    graded = [v for v in rep.violations if v.axiom == "grading.d"]
+    assert [v.tuple for v in graded] == [("D0[beta]",)]

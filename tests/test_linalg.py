@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from courant_vpa.linalg import (
     BasedSpace,
     BilinearMap,
+    Echelon,
     LinearMap,
     SpaceMismatch,
     Vector,
@@ -277,3 +278,119 @@ def test_returned_table_entries_stay_unchanged():
     assert b == BilinearMap.from_entries(L2, R3, W3, entries)
     assert b.table[0][0] == W3.vector({"x": 1, "y": Fraction(1, 2)})
     assert m == LinearMap.from_entries(L2, W3, {"p": {"z": 2}})
+
+
+# -- Echelon against a dense Fraction Gauss-Jordan ----------------------------
+#
+# gauss_jordan and dense_solve are the dense elimination that solve_linear
+# used before it was built on Echelon, kept as the reference.
+
+
+def gauss_jordan(m, n_cols):
+    """Reduce the dense rows ``m`` in place; returns the pivot columns."""
+    n_rows = len(m)
+    piv_cols = []
+    pr = 0
+    for pc in range(n_cols):
+        pivot = None
+        for r in range(pr, n_rows):
+            if m[r][pc] != 0:
+                pivot = r
+                break
+        if pivot is None:
+            continue
+        m[pr], m[pivot] = m[pivot], m[pr]
+        f = m[pr][pc]
+        m[pr] = [x / f for x in m[pr]]
+        for r in range(n_rows):
+            if r != pr and m[r][pc] != 0:
+                g = m[r][pc]
+                m[r] = [x - g * y for x, y in zip(m[r], m[pr])]
+        piv_cols.append(pc)
+        pr += 1
+        if pr == n_rows:
+            break
+    return piv_cols
+
+
+def dense_solve(rows, rhs):
+    m = [list(map(Fraction, row)) + [Fraction(r)] for row, r in zip(rows, rhs)]
+    n_cols = len(rows[0]) if rows else 0
+    piv_cols = gauss_jordan(m, n_cols)
+    for r in range(len(piv_cols), len(m)):
+        if m[r][n_cols] != 0:
+            return None
+    sol = [Fraction(0)] * n_cols
+    for r, pc in enumerate(piv_cols):
+        sol[pc] = m[r][n_cols]
+    return sol
+
+
+KEYS = 6
+sparse_rows = st.dictionaries(st.integers(0, KEYS - 1), kernel_scalars, max_size=4)
+
+
+def dense_rank(rows):
+    return len(gauss_jordan([[Fraction(r.get(k, 0)) for k in range(KEYS)] for r in rows], KEYS))
+
+
+def echelon_of(rows):
+    ech = Echelon()
+    for r in rows:
+        ech.insert(r)
+    return ech
+
+
+@given(st.lists(sparse_rows, max_size=8))
+def test_echelon_dim_is_dense_rank(rows):
+    assert echelon_of(rows).dim == dense_rank(rows)
+
+
+@given(st.lists(sparse_rows, max_size=8), st.randoms())
+def test_echelon_rows_ignore_insertion_order(rows, rnd):
+    shuffled = list(rows)
+    rnd.shuffle(shuffled)
+    assert echelon_of(shuffled).rows == echelon_of(rows).rows
+
+
+@given(st.lists(sparse_rows, max_size=8))
+def test_echelon_rows_are_fully_reduced(rows):
+    ech = echelon_of(rows)
+    for lead, row in ech.rows.items():
+        assert lead == max(row) and row[lead] == 1
+        assert all(type(c) is Fraction and c != 0 for c in row.values())
+        assert not any(k in ech.rows for k in row if k != lead)
+
+
+@given(st.lists(sparse_rows, max_size=6), sparse_rows, st.lists(kernel_scalars, max_size=6), st.booleans())
+def test_echelon_eliminate_clears_leads(rows, extra, coefs, in_span):
+    ech = echelon_of(rows)
+    # a vector in the span of rows, or that plus a random one
+    v = {} if in_span else dict(extra)
+    for c, r in zip(coefs, rows):
+        for k, w in r.items():
+            v[k] = v.get(k, 0) + c * w
+    got = ech.eliminate(v)
+    assert not any(k in ech.rows for k in got)
+    assert all(c != 0 for c in got.values())
+    spanned = dense_rank(rows + [v]) == dense_rank(rows)
+    assert (not got) == spanned
+    # v - got lies in the span
+    diff = {k: v.get(k, 0) - got.get(k, 0) for k in set(v) | set(got)}
+    assert dense_rank(rows + [diff]) == dense_rank(rows)
+
+
+@given(st.integers(0, 4), st.integers(0, 4), st.data())
+def test_solve_linear_matches_dense_reference(n_rows, n_cols, data):
+    rows = data.draw(st.lists(st.lists(kernel_scalars, min_size=n_cols, max_size=n_cols),
+                              min_size=n_rows, max_size=n_rows))
+    rhs = data.draw(st.lists(kernel_scalars, min_size=n_rows, max_size=n_rows))
+    assert solve_linear(rows, rhs) == dense_solve(rows, rhs)
+
+
+def test_solve_linear_singular_and_inconsistent():
+    # x + 2y = 3 twice: y is free and set to 0
+    assert solve_linear([[1, 2], [2, 4]], [3, 6]) == [3, 0]
+    assert solve_linear([[1, 2], [2, 4]], [3, 7]) is None
+    assert solve_linear([[0, 1]], [5]) == [0, 5]
+    assert solve_linear([], []) == []
