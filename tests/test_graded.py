@@ -1,9 +1,13 @@
+import hashlib
+import os
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
 from courant_vpa.courant import StructureError, check_courant
 from courant_vpa.examples import example
+from courant_vpa.fileformat import parse, print_file, view_to_file
 from courant_vpa.graded import (
     GradedVpaView,
     assemble_view,
@@ -96,3 +100,23 @@ def test_mult_tables_are_flip_consistent():
     for i in range(m01.left.dim):
         for j in range(m01.right.dim):
             assert m01.table[i][j] == m10.table[j][i]
+
+
+def _pinned_views():
+    path = os.path.join(os.path.dirname(__file__), "data", "view_hashes.txt")
+    with open(path, encoding="utf-8") as fh:
+        rows = [line.split() for line in fh if line.strip() and not line.startswith("#")]
+    return [(kind, name, int(degree), digest) for kind, name, degree, digest in rows]
+
+
+@pytest.mark.parametrize("kind,name,degree,digest", _pinned_views())
+def test_printed_view_is_pinned(kind, name, degree, digest):
+    # the printed view, as `courant-vpa build --max-degree <degree>` writes it
+    if kind == "fixture":
+        path = resources.files("courant_vpa") / "fixtures" / (name + ".cvpa")
+        X = parse(path.read_text(encoding="utf-8")).courant()
+    else:
+        X = example(name)
+    V = assemble_view(CourantQuotient(X, degree))
+    text = print_file(view_to_file(V, meta={"cutoff": str(V.cutoff)}))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
