@@ -120,7 +120,8 @@ def cmd_build(args) -> int:
     V = assemble_view(q, min(args.max_degree, 2) if args.small_view else None)
     text = print_file(view_to_file(V, meta={"cutoff": str(V.cutoff)}))
     if args.json:
-        _emit({"command": "build", "file": args.file, "output": text}, None, True, [])
+        _emit({"command": "build", "file": args.file, "output": text, "stats": q.stats()},
+              None, True, [])
     else:
         _write_out(text, args.out)
     return 0

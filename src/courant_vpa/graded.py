@@ -137,68 +137,77 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
     """Serialize the quotient algebra's graded pieces into a view.
 
     Degree 0 and 1 use the base spaces themselves; higher degrees use the
-    canonical monomial bases of the quotient.
+    canonical monomial bases of the quotient.  Each basis element is lifted
+    once, and every table entry is computed in the symmetric algebra and
+    reduced inside one ``q.memoized()`` block, so the products and normal
+    forms of repeated monomials are computed once.
     """
     top = q.cutoff if cutoff is None else min(cutoff, q.cutoff)
-    A = q.X.A.space
-    B = q.X.B
-    spaces = [A, B]
-    monos: dict[int, list[Monomial]] = {}
-    for n in range(2, top + 1):
-        ms = q.basis_monomials(n)
-        monos[n] = ms
-        spaces.append(BasedSpace("S%d" % n, [format_monomial(q.sym, m) for m in ms]))
+    with q.memoized():
+        A = q.X.A.space
+        B = q.X.B
+        sym = q.sym
+        spaces = [A, B]
+        monos: dict[int, list[Monomial]] = {}
+        for n in range(2, top + 1):
+            ms = q.basis_monomials(n)
+            monos[n] = ms
+            spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in ms]))
 
-    # the normal forms of each degree's basis, reduced once per degree
-    elems = [
-        [q.embed_a(v) for v in A.basis_vectors()],
-        [q.embed_b(v) for v in B.basis_vectors()],
-    ] + [[q.reduce(SCElement({m: Fraction(1)})) for m in monos[p]] for p in range(2, top + 1)]
-    indices = {p: {m: i for i, m in enumerate(ms)} for p, ms in monos.items()}
+        # the normal forms of each degree's basis, reduced and lifted once
+        elems = [
+            [q.embed_a(v) for v in A.basis_vectors()],
+            [q.embed_b(v) for v in B.basis_vectors()],
+        ] + [
+            [q.reduce(SCElement({m: Fraction(1)})) for m in monos[p]] for p in range(2, top + 1)
+        ]
+        lifted = [[q.lift(u) for u in row] for row in elems]
+        indices = {p: {m: i for i, m in enumerate(ms)} for p, ms in monos.items()}
 
-    def expand(u, degree: int) -> Vector:
-        if degree == 0:
-            if u.monomial_part:
-                raise StructureError("degree-0 element with monomial part")
-            return u.a_part
-        if degree == 1:
-            return q.to_b_vector(u)
-        if not u.a_part.is_zero():
-            raise StructureError("degree-%d element with a degree-0 part" % degree)
-        index = indices[degree]
-        coeffs = {}
-        for m, c in u.monomial_part.items():
-            if m not in index:
-                raise StructureError("non-canonical monomial in expansion")
-            coeffs[index[m]] = c
-        return Vector(spaces[degree], coeffs)
+        def expand(w, degree: int) -> Vector:
+            u = q.reduce(w)
+            if degree == 0:
+                if u.monomial_part:
+                    raise StructureError("degree-0 element with monomial part")
+                return u.a_part
+            if degree == 1:
+                return q.to_b_vector(u)
+            if not u.a_part.is_zero():
+                raise StructureError("degree-%d element with a degree-0 part" % degree)
+            index = indices[degree]
+            coeffs = {}
+            for m, c in u.monomial_part.items():
+                if m not in index:
+                    raise StructureError("non-canonical monomial in expansion")
+                coeffs[index[m]] = c
+            return Vector(spaces[degree], coeffs)
 
-    d_maps = []
-    for r in range(top):
-        cols = [expand(q.d(u), r + 1) for u in elems[r]]
-        d_maps.append(LinearMap(spaces[r], spaces[r + 1], cols))
-    mult = {}
-    for p in range(top + 1):
-        for qd in range(top + 1 - p):
-            rows = []
-            for u in elems[p]:
-                rows.append([expand(q.multiply(u, v), p + qd) for v in elems[qd]])
-            mult[(p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[p + qd], rows)
-    prod = {}
-    for p in range(top + 1):
-        for qd in range(top + 1):
-            for n in range(0, p + qd):
-                target = p + qd - n - 1
-                if not 0 <= target <= top:
-                    continue
+        d_maps = []
+        for r in range(top):
+            cols = [expand(sym.d(u), r + 1) for u in lifted[r]]
+            d_maps.append(LinearMap(spaces[r], spaces[r + 1], cols))
+        mult = {}
+        for p in range(top + 1):
+            for qd in range(top + 1 - p):
                 rows = []
-                for u in elems[p]:
-                    rows.append([expand(q.product(n, u, v), target) for v in elems[qd]])
-                prod[(n, p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[target], rows)
-    return GradedVpaView(
-        spaces=tuple(spaces),
-        unit=q.X.A.unit,
-        d=tuple(d_maps),
-        mult=mult,
-        prod=prod,
-    )
+                for u in lifted[p]:
+                    rows.append([expand(sym.multiply(u, v), p + qd) for v in lifted[qd]])
+                mult[(p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[p + qd], rows)
+        prod = {}
+        for p in range(top + 1):
+            for qd in range(top + 1):
+                for n in range(0, p + qd):
+                    target = p + qd - n - 1
+                    if not 0 <= target <= top:
+                        continue
+                    rows = []
+                    for u in lifted[p]:
+                        rows.append([expand(sym.product(n, u, v), target) for v in lifted[qd]])
+                    prod[(n, p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[target], rows)
+        return GradedVpaView(
+            spaces=tuple(spaces),
+            unit=q.X.A.unit,
+            d=tuple(d_maps),
+            mult=mult,
+            prod=prod,
+        )

@@ -29,8 +29,10 @@ sums the monomial-pair results into one accumulator.  A check evaluates
 the same (n, monomial, monomial) pairs many times over, so ``check_vpa``
 memoizes the pair results, keyed by route as well so that the two routes
 stay independent computations, and D of each monomial.  The memo lives
-for one ``check_vpa`` call only (``SymAlgebra.memoized``) and is dropped
-when the call returns or raises.  A memo kept for the algebra's lifetime
+only inside a ``SymAlgebra.memoized`` block and is dropped when the block
+returns or raises.  ``check_vpa`` runs in one such block, and so do the
+quotient's relation build and view assembly, through
+``CourantQuotient.memoized``.  A memo kept for the algebra's lifetime
 would hold every product ever asked of it: the quotient's algebra serves
 tens of thousands of products that never repeat, most of them zero.
 Failing evaluations (CutoffError) are never stored, so they raise again

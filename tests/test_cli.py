@@ -165,6 +165,18 @@ def test_build_then_extract_with_active_relations(tmp_path, capsys):
     assert code == 0
 
 
+def test_build_json_reports_quotient_stats(capsys):
+    code, out, _ = run(capsys, "build", fixture_path("exact2.cvpa"), "--max-degree", "3", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert parse(doc["output"]).graded_view().cutoff == 3
+    stats = doc["stats"]
+    assert stats["relation_dims"] == [0, 3]
+    assert stats["rows_kept"] == 3
+    assert stats["shadows_inserted"] >= stats["rows_kept"]
+    assert stats["fusion_steps"] > 0 and stats["peak_memo_entries"] > 0
+
+
 def test_criterion_line_format():
     # the full selftest subprocess runs in the acceptance suite; here just
     # the one-line report shape of a single cheap criterion
