@@ -18,7 +18,7 @@ import courant_vpa.quotient as quotient_mod
 from courant_vpa.examples import example
 from courant_vpa.graded import assemble_view
 from courant_vpa.linalg import Echelon, Vector
-from courant_vpa.quotient import CourantQuotient, ReduceBoundError, SBElement
+from courant_vpa.quotient import CourantQuotient, ReduceBoundError, SBElement, random_corpus
 from courant_vpa.vpa import SCElement, factor_degree, make_monomial, mono_degree
 
 
@@ -178,8 +178,6 @@ def test_reduce_matches_reference(data):
 
 
 def test_reduce_matches_reference_on_seeded_corpus():
-    from courant_vpa.quotient import random_corpus
-
     q, relations = _oracle("exact(3)")
     corpus = random_corpus(q, 300, seed=7)
     for strategy in ("leftmost", "rightmost"):
