@@ -174,6 +174,8 @@ def test_build_json_reports_quotient_stats(capsys):
     assert stats["relation_dims"] == [0, 3]
     assert stats["rows_kept"] == 3
     assert stats["shadows_inserted"] >= stats["rows_kept"]
+    # 154 seeds and closure products, of which 129 are zero by construction
+    assert (stats["shadows_inserted"], stats["shadows_skipped"]) == (25, 129)
     assert stats["fusion_steps"] > 0 and stats["peak_memo_entries"] > 0
 
 

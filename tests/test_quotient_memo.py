@@ -8,6 +8,7 @@ per-monomial and memoized, kept as the reference: one explicit stack of
 SymAlgebra.multiply.
 """
 
+from dataclasses import replace
 from fractions import Fraction
 from math import comb
 
@@ -17,14 +18,25 @@ from hypothesis import given, settings, strategies as st
 import courant_vpa.quotient as quotient_mod
 from courant_vpa.examples import example
 from courant_vpa.graded import assemble_view
-from courant_vpa.linalg import Echelon, Vector
-from courant_vpa.quotient import CourantQuotient, ReduceBoundError, SBElement, random_corpus
+from courant_vpa.linalg import BilinearMap, Echelon, Vector
+from courant_vpa.quotient import (
+    CourantQuotient,
+    ReduceBoundError,
+    SBElement,
+    check_reduce_properties,
+    random_corpus,
+)
 from courant_vpa.vpa import SCElement, factor_degree, make_monomial, mono_degree
 
 
-def stack_fuse(q, u, strategy="leftmost"):
-    """Fuse away every A-factor; returns (A-coefficients, monomial map)."""
+def stack_fuse(q, u, strategy="leftmost", canonical=False):
+    """Fuse away every A-factor; returns (A-coefficients, monomial map).
+    The first (last) factors are taken by position in the rewritten tuple;
+    with ``canonical`` each rewritten monomial is put back in canonical
+    order first, so they are the smallest (largest), as in the library's
+    per-monomial fusion."""
     left = strategy == "leftmost"
+    order = make_monomial if canonical else tuple
     X = q.X
     A = X.A
     a_acc, m_acc = {}, {}
@@ -58,13 +70,13 @@ def stack_fuse(q, u, strategy="leftmost"):
         _, n, bi = bf
         ab = X.act(a_vec, X.B.unit_vector(X.B.basis[bi]))
         for k, c in ab.items:
-            stack.append((rest + (("b", n, k),), coeff * c))
+            stack.append((order(rest + (("b", n, k),)), coeff * c))
         if n >= 1:
             pa = X.d(a_vec)
             for i in range(1, n + 1):
                 ci = Fraction(comb(n, i))
                 for k, c in pa.items:
-                    stack.append((rest + (("b", i - 1, k), ("b", n - i, bi)), -coeff * ci * c))
+                    stack.append((order(rest + (("b", i - 1, k), ("b", n - i, bi))), -coeff * ci * c))
     return a_acc, m_acc
 
 
@@ -127,6 +139,57 @@ def test_relation_rows_match_reference(name):
         want = reference_relations(q)
         for n in range(2, cutoff + 1):
             assert q._relations[n].rows == want[n].rows, (name, cutoff, n)
+
+
+@pytest.mark.parametrize(
+    "name, cutoff",
+    [(name, cutoff) for name in BUILTINS for cutoff in (2, 3, 4)] + [("exact(3)", 5)],
+)
+def test_skipped_shadows_are_zero(name, cutoff):
+    # Every seed the build skips (rules 1-3) fuses to exactly 0 in
+    # canonical leftmost order, and e_u.row - row does too (rule 4).  In
+    # positional order some do not, but they reduce to 0 modulo the
+    # reference relations.
+    q = CourantQuotient(example(name), cutoff)
+    sym = q.sym
+    relations = reference_relations(q)
+
+    def assert_zero(u):
+        a_acc, m_acc = stack_fuse(q, u, canonical=True)
+        assert not any(a_acc.values()) and not any(m_acc.values())
+        assert reference_reduce(q, relations, u, "leftmost").is_zero()
+
+    skipped = dict.fromkeys(("unit", "own-factor", "associativity"), 0)
+    for _, rule, m, dk in q._seeds():
+        if rule is not None:
+            skipped[rule] += 1
+            assert_zero(sym.multiply(SCElement({m: Fraction(1)}), SCElement(dk)))
+    u = q._identity_unit()
+    assert u is not None
+    e_u = SCElement({(("a", u),): Fraction(1)})
+    for n in range(2, cutoff + 1):
+        for row in q._relations[n].rows.values():
+            elem = SCElement(dict(row))
+            assert_zero(sym.multiply(e_u, elem) - elem)
+    if (name, cutoff) == ("exact(3)", 5):
+        assert all(skipped.values()), skipped
+
+
+@pytest.mark.parametrize("a, b, extra", [("e", "dx", "xD"), ("x", "xD", "xD")])
+def test_rules_check_their_premises(a, b, extra):
+    # a.b += extra in exact(2), built without certification: e.dx = dx + xD
+    # breaks the unit's identity rows (rules 1 and 4), and x.xD = xD
+    # breaks x(x xD) = (x x) xD (rule 3).  Skipping those seeds regardless
+    # loses rows at degrees 2-4.
+    X = example("exact(2)")
+    rows = [list(r) for r in X.action.table]
+    i, j = X.A.space.index(a), X.B.index(b)
+    rows[i][j] = rows[i][j] + Vector(X.B, {X.B.index(extra): Fraction(1)})
+    Y = replace(X, action=BilinearMap(X.A.space, X.B, X.B, rows))
+    q = CourantQuotient(Y, 4, certify=False)
+    want = reference_relations(q)
+    for n in range(2, 5):
+        assert q._relations[n].rows == want[n].rows, n
 
 
 # -- reduce ------------------------------------------------------------------------
@@ -264,7 +327,20 @@ def test_stats_of_exact4_cutoff5():
     q = CourantQuotient(example("exact(4)"), 5)
     stats = q.stats()
     assert stats["relation_dims"] == [12, 71, 263, 832]
-    assert stats["shadows_inserted"] == 41_350
+    # 36,638 generated and 4,712 closure shadows, most skipped as zero by
+    # construction
+    assert stats["shadows_inserted"] == 16_396
+    assert stats["shadows_inserted"] + stats["shadows_skipped"] == 41_350
     assert stats["rows_kept"] == 1_178
     # every distinct monomial the build passes through is fused once
-    assert stats["fusion_steps"] == stats["peak_memo_entries"] == 20_370
+    assert stats["fusion_steps"] == stats["peak_memo_entries"] == 7_439
+
+
+def test_reduce_check_runs_in_one_memo():
+    # the 500-element corpus of exact(3)/3 has 988 terms over 300 distinct
+    # monomials; outside a memo the check takes 4,643 fusion steps
+    q = CourantQuotient(example("exact(3)"), 3)
+    before = q.stats()["fusion_steps"]
+    assert check_reduce_properties(q).passed
+    assert q.stats()["fusion_steps"] - before == 715
+    assert q._memo is None and q.sym._memo is None
