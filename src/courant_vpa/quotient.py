@@ -37,18 +37,16 @@ that makes the round trip on-the-nose.  The full ideal is never
 materialized (it has unbounded A-factor content); only its pure-B shadow
 per degree is, and that is finite.
 
-Most relation shadows are zero by construction, and the build skips
-four families of them before any fusion (``_build_relations`` proves
-each): of the 41,350 seeds and closure products of exact(4) at cutoff 5
-it inserts 16,396, which pass through 7,439 distinct monomials, against
-41,350 through 20,370 without the rules, for the same 1,178 rows.  The
-inserted shadows still fuse the same monomials over and over, and
-assembling a view reduces the same monomials for table entry after
-table entry.  Both therefore run inside ``CourantQuotient.memoized``,
-which keeps the fused form and the normal form of each (strategy,
-monomial) as a flat tuple, beside the symmetric algebra's own product
-memo.  The memo is scoped to the block and dropped when the block returns
-or raises; it never lives as long as the quotient.  A memo kept for the
+The build skips four families of shadows that are zero by construction
+(``_build_relations``): exact(4) at cutoff 5 inserts 16,396 of its
+41,350 shadows, through 7,439 distinct monomials instead of 20,370.
+The inserted shadows still share monomials, and assembling a view
+reduces the same monomials for table entry after table entry.  Both
+therefore run inside ``CourantQuotient.memoized``, which keeps the
+fused form and the normal form of each (strategy, monomial) as a flat
+tuple, beside the symmetric algebra's own product memo.  The memo is
+scoped to the block and dropped when the block returns or raises; it
+never lives as long as the quotient.  A memo kept for the
 quotient's lifetime would hold the build's fused forms and products for
 as long as the quotient is used, and grow with every query asked of it:
 two rounds of the quotient-build benchmark peak at 34.5 MB with one and
@@ -366,44 +364,31 @@ class CourantQuotient:
         """Generate pure-B shadows of ideal elements per degree and close
         under multiplication by degree-0 generators.
 
-        A seed is m.D^k(g) for a relator g of degree d and a pure-B monomial
-        m of degree n - d - k; its shadow is F(m.D^k g), where F is
-        leftmost fusion, linear in the terms.  Four families of seeds have
-        shadow 0 by construction and are skipped before any fusion.  Their
-        premises are read off the rows ``_act``, ``_partial`` and
-        ``_mult``, so they are tested, not assumed, when the algebroid is
-        not certified.
+        The shadow of a seed m.D^k(g), m pure B, is F(m.D^k g) with F the
+        leftmost fusion, linear in the terms.  Four families of shadows are
+        0 by construction and are skipped.  Each premise is read off the
+        rows ``_act``, ``_partial`` and ``_mult``, so it is tested, not
+        assumed, when the algebroid is not certified.
 
-        Lemma.  Let the unit be one basis vector e_u with e_u.b = b,
-        p(e_u) = 0 and e_u a = a e_u = a on the rows.  Then F(e_u.M) = F(M)
-        for every monomial M, by induction on the A-factors of M.  If e_u is
-        the first A-factor of e_u.M, the step a . D^n(b) sends e_u.M to M.
-        Otherwise the step rewrites the same A-factor into the same D-power
-        factor in M and in e_u.M, so the children of e_u.M are e_u times
-        those of M, with one A-factor fewer.  Without a D-power factor both
-        sides are products in A, where e_u is the identity, and
-        F(e_u) = e_u = F(()).
+        Lemma: if the unit is a basis vector e_u with e_u.b = b, p(e_u) = 0
+        and e_u a = a e_u = a, then F(e_u.M) = F(M).  By induction on the
+        A-factors: a step on e_u gives M; any other step acts alike on M
+        and e_u.M, so the children of e_u.M are e_u times those of M; with
+        no D-power factor both are products in A, and F(e_u) = e_u = F(()).
 
-        1. Unit relators.  Under the lemma D(e_u) = p(e_u) = 0, so
-           D^k(e_u.x) = e_u.D^k(x), and a relator with an e_u factor is
-           e_u.x - x (x = a, a' or b): each of its seeds is a sum of
-           m.e_u.t - m.t, which F sends to 0.  For e - 1, with any unit e,
-           it is enough that e.b = b and p(e) = 0: then D^k(e - 1) = 0 for
-           k >= 1, and m.e (m is not empty, as n >= 2) has one A-factor,
-           whose step is linear in it and sends m.e to m.
-        2. E1 own factor.  By Leibniz D^k(a.b - ab) = a.D^k(b)
-           + sum_(p=1..k) C(k,p) D^(p-1)(pa).D^(k-p)(b) - D^k(ab).  When
-           m = () or D^k(b) <= m[0], the only A-factor of m.a.D^k(b) fuses
-           into D^k(b) itself, and that step gives m.D^k(ab) minus the same
-           sum, all pure B, so the shadow is 0.
-        3. E0 associativity at level 0.  Take k = 0, m[0] = D^0(b), and
-           every D^0(b_l) in the support of a_i b at most m[1].  F fuses a_i
-           into D^0(b) and then a_j into each D^0(b_l), giving
-           (a_j(a_i b)).m' with m' = m[1:], while F(m.(a_i a_j)) is
-           ((a_i a_j) b).m'.  The rule applies only where the rows make the
-           two vectors of B equal.
-        4. Unit in the closure.  Under the lemma e_u.row fuses to the row,
-           which the basis already holds, so it is not inserted.
+        1. Unit: D(e_u) = 0, so a relator with an e_u factor gives seeds
+           m.e_u.t - m.t, which the lemma sends to 0.  For e - 1 and any
+           unit e, e.b = b and p(e) = 0 suffice: D^k(e - 1) = 0 for k >= 1,
+           and the one step of m.e is linear in e and gives m.
+        2. E1 own factor: if m = () or D^k(b) <= m[0], the step of
+           m.a.D^k(b) fuses a into D^k(b) and gives m.D^k(ab) minus
+           sum_(p>=1) C(k,p) m.D^(p-1)(pa).D^(k-p)(b), which by Leibniz
+           cancels the other terms of m.D^k(a.b - ab).
+        3. E0 associativity: if k = 0, m[0] = D^0(b) and every D^0(b_l) in
+           a_i b is at most m[1], then F(m.a_i.a_j) = (a_j(a_i b)).m[1:]
+           and F(m.(a_i a_j)) = ((a_i a_j) b).m[1:]; the seed is skipped
+           only where the rows make the two equal.
+        4. Closure: by the lemma e_u.row fuses to the row, already held.
         """
         counts = self._counts
         for n, rule, m, dk in self._seeds():
