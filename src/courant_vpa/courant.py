@@ -94,6 +94,18 @@ class CourantAlgebroid:
         return map_apply(self.partial, a)
 
 
+def differing_tables(X: CourantAlgebroid, Y: CourantAlgebroid) -> dict[str, tuple]:
+    """The structure tables in which Y differs from X, by name, each as
+    the pair (X's table, Y's table)."""
+    tables = {
+        "mult": (X.A.mult, Y.A.mult), "unit": (X.A.unit, Y.A.unit),
+        "action": (X.action, Y.action), "bracket": (X.bracket, Y.bracket),
+        "anchor": (X.anchor, Y.anchor), "pairing": (X.pairing, Y.pairing),
+        "partial": (X.partial, Y.partial),
+    }
+    return {name: pair for name, pair in tables.items() if pair[0] != pair[1]}
+
+
 def _labelled(space: BasedSpace, prefix: str):
     return [(prefix + "=" + l, space.unit_vector(l)) for l in space.basis]
 

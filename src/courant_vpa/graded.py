@@ -20,14 +20,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 from .courant import CourantAlgebroid, StructureError, UnitalCommAlgebra
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply, format_vector
-from .quotient import CourantQuotient
-from .reports import CheckReport, Violation
+from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply
 from .vpa import Monomial, SCElement, format_monomial
 
-MODULE = "graded_view"
+if TYPE_CHECKING:  # quotient.py reads its degrees 0 and 1 back through this module
+    from .quotient import CourantQuotient
 
 
 @dataclass(frozen=True)
@@ -108,39 +108,15 @@ def extract_courant(V: GradedVpaView) -> CourantAlgebroid:
     )
 
 
-def check_view_dera1(V: GradedVpaView) -> CheckReport:
-    """(au)_0 a' = a (u_0 a') on all basis tuples, through the view's own
-    tables."""
-    out = []
-    A0, B1 = V.spaces[0], V.spaces[1]
-    act = V.mult[(0, 1)]
-    anc = V.prod[(0, 1, 0)]
-    m00 = V.mult[(0, 0)]
-    for la in A0.basis:
-        a = A0.unit_vector(la)
-        for lu in B1.basis:
-            u = B1.unit_vector(lu)
-            au = bilin_apply(act, a, u)
-            for lb in A0.basis:
-                b = A0.unit_vector(lb)
-                lhs = bilin_apply(anc, au, b)
-                rhs = bilin_apply(m00, a, bilin_apply(anc, u, b))
-                if lhs != rhs:
-                    out.append(
-                        Violation(MODULE, "dera1", ("a=" + la, "u=" + lu, "a'=" + lb),
-                                  format_vector(lhs), format_vector(rhs))
-                    )
-    return CheckReport(out)
-
-
 def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaView:
     """Serialize the quotient algebra's graded pieces into a view.
 
     Degree 0 and 1 use the base spaces themselves; higher degrees use the
-    canonical monomial bases of the quotient.  Each basis element is lifted
-    once, and every table entry is computed in the symmetric algebra and
-    reduced inside one ``q.memoized()`` block, so the products and normal
-    forms of repeated monomials are computed once.
+    canonical monomial bases of the quotient, and the unit is the normal
+    form of 1.  Every table entry is computed in the symmetric algebra on
+    the basis normal forms and reduced inside one ``q.memoized()`` block,
+    so the products and normal forms of repeated monomials are computed
+    once.
     """
     top = q.cutoff if cutoff is None else min(cutoff, q.cutoff)
     with q.memoized():
@@ -154,29 +130,24 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
             monos[n] = ms
             spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in ms]))
 
-        # the normal forms of each degree's basis, reduced and lifted once
+        # the normal forms of each degree's basis, reduced once
         elems = [
             [q.embed_a(v) for v in A.basis_vectors()],
             [q.embed_b(v) for v in B.basis_vectors()],
         ] + [
             [q.reduce(SCElement({m: Fraction(1)})) for m in monos[p]] for p in range(2, top + 1)
         ]
-        lifted = [[q.lift(u) for u in row] for row in elems]
         indices = {p: {m: i for i, m in enumerate(ms)} for p, ms in monos.items()}
 
         def expand(w, degree: int) -> Vector:
             u = q.reduce(w)
             if degree == 0:
-                if u.monomial_part:
-                    raise StructureError("degree-0 element with monomial part")
-                return u.a_part
+                return q.to_a_vector(u)
             if degree == 1:
                 return q.to_b_vector(u)
-            if not u.a_part.is_zero():
-                raise StructureError("degree-%d element with a degree-0 part" % degree)
             index = indices[degree]
             coeffs = {}
-            for m, c in u.monomial_part.items():
+            for m, c in u.terms.items():
                 if m not in index:
                     raise StructureError("non-canonical monomial in expansion")
                 coeffs[index[m]] = c
@@ -184,14 +155,14 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
 
         d_maps = []
         for r in range(top):
-            cols = [expand(sym.d(u), r + 1) for u in lifted[r]]
+            cols = [expand(sym.d(u), r + 1) for u in elems[r]]
             d_maps.append(LinearMap(spaces[r], spaces[r + 1], cols))
         mult = {}
         for p in range(top + 1):
             for qd in range(top + 1 - p):
                 rows = []
-                for u in lifted[p]:
-                    rows.append([expand(sym.multiply(u, v), p + qd) for v in lifted[qd]])
+                for u in elems[p]:
+                    rows.append([expand(sym.multiply(u, v), p + qd) for v in elems[qd]])
                 mult[(p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[p + qd], rows)
         prod = {}
         for p in range(top + 1):
@@ -201,12 +172,12 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
                     if not 0 <= target <= top:
                         continue
                     rows = []
-                    for u in lifted[p]:
-                        rows.append([expand(sym.product(n, u, v), target) for v in lifted[qd]])
+                    for u in elems[p]:
+                        rows.append([expand(sym.product(n, u, v), target) for v in elems[qd]])
                     prod[(n, p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[target], rows)
         return GradedVpaView(
             spaces=tuple(spaces),
-            unit=q.X.A.unit,
+            unit=expand(sym.one(), 0),
             d=tuple(d_maps),
             mult=mult,
             prod=prod,

@@ -56,6 +56,15 @@ the two fusion orders stay independent computations; a fusion that
 raises stores nothing; and the step bound counts the steps one top-level
 fusion performs, memo hits not included.
 
+A normal form is an ``SCElement`` of the symmetric algebra itself: single
+("a", i) monomials for its degree-0 part, and for the rest pure-B
+monomials that lead no relation.  ``to_a_vector`` and ``to_b_vector``
+read degrees 0 and 1 as vectors of A and B, and violation reports print
+normal forms through ``vpa.format_element``, which sorts the terms.
+Degrees 0 and 1 are read back as from any graded vertex Poisson algebra:
+``extract_degree01`` is ``extract_courant`` on the view of degrees 0
+and 1.
+
 Order-insensitivity of the two fusion extremes is asserted empirically on
 randomized corpora, as the quotient's well-definedness licenses.
 """
@@ -67,8 +76,15 @@ from contextlib import contextmanager
 from fractions import Fraction
 from math import comb
 
-from .courant import CourantAlgebroid, UnitalCommAlgebra, check_courant, to_1tca
-from .linalg import ONE, ZERO, BilinearMap, Echelon, LinearMap, Vector, format_vector, rank
+from .courant import (
+    CourantAlgebroid,
+    UnitalCommAlgebra,
+    check_courant,
+    differing_tables,
+    to_1tca,
+)
+from .graded import assemble_view, extract_courant
+from .linalg import ONE, ZERO, BasedSpace, Echelon, Vector, rank
 from .reports import CheckReport, Violation
 from .vlie import VertexLie
 from .vpa import (
@@ -79,6 +95,7 @@ from .vpa import (
     _nonzero,
     _pairs,
     factor_degree,
+    format_element,
     make_monomial,
     mono_degree,
 )
@@ -90,42 +107,6 @@ MAX_REDUCE_STEPS = 100_000
 
 class ReduceBoundError(RuntimeError):
     """Stage-one fusion took more than MAX_REDUCE_STEPS rewrite steps."""
-
-
-class SBElement:
-    """Normal form in the quotient: degree-0 part in A plus monomials in
-    the D^n(b) generators (no A-factors, no empty monomial), kept in
-    sorted order so that the repr does not depend on how it was reached."""
-
-    __slots__ = ("a_part", "monomial_part")
-
-    def __init__(self, a_part: Vector, monomial_part: dict[Monomial, Fraction]):
-        self.a_part = a_part
-        self.monomial_part = {m: c for m, c in sorted(monomial_part.items()) if c != 0}
-        for m in self.monomial_part:
-            if not m or any(f[0] != "b" for f in m):
-                raise ValueError("normal form admits only D^n(b) factors")
-
-    def is_zero(self) -> bool:
-        return self.a_part.is_zero() and not self.monomial_part
-
-    def degrees(self) -> set[int]:
-        out = set() if self.a_part.is_zero() else {0}
-        out |= {mono_degree(m) for m in self.monomial_part}
-        return out
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SBElement)
-            and self.a_part == other.a_part
-            and self.monomial_part == other.monomial_part
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.a_part, frozenset(self.monomial_part.items())))
-
-    def __repr__(self) -> str:
-        return "SBElement(a=%s, monomials=%s)" % (format_vector(self.a_part), self.monomial_part)
 
 
 class IdealGenerators:
@@ -331,22 +312,22 @@ class CourantQuotient:
     # -- stage two: residual relations among D-power monomials --------------
 
     def _pure_b_monomials(self, degree: int) -> list[Monomial]:
-        if degree == 0:
-            return [()]
+        """The monomials of ``degree`` in the D^n(b) generators, sorted.
+        Each stack entry extends its factors only by generators from
+        ``start`` on, so every multiset is produced once."""
         gens = [("b", n, i) for n in range(0, degree) for i in range(self.X.B.dim)]
         out: list[Monomial] = []
-
-        def rec(start: int, remaining: int, acc: list):
+        stack = [(0, degree, ())]
+        while stack:
+            start, remaining, acc = stack.pop()
             if remaining == 0:
                 out.append(make_monomial(acc))
-                return
+                continue
             for gi in range(start, len(gens)):
                 d = factor_degree(gens[gi])
                 if d <= remaining:
-                    rec(gi, remaining - d, acc + [gens[gi]])
-
-        rec(0, degree, [])
-        return sorted(set(out))
+                    stack.append((gi, remaining - d, acc + (gens[gi],)))
+        return sorted(out)
 
     def _insert_shadow(self, ech: Echelon, terms) -> bool:
         """Fuse sum c.m over (m, c) pairs, an ideal element of degree >= 2,
@@ -494,8 +475,10 @@ class CourantQuotient:
 
     # -- reduction to canonical normal form ---------------------------------
 
-    def reduce(self, u: SCElement, strategy: str = "leftmost") -> SBElement:
-        """Rewrite to the canonical quotient normal form.
+    def reduce(self, u: SCElement, strategy: str = "leftmost") -> SCElement:
+        """Rewrite to the canonical quotient normal form: single ("a", i)
+        monomials for the degree-0 part, and pure-B monomials that lead no
+        relation for the rest.
 
         ``strategy`` picks which A-factor fuses into which D-power factor
         first; stage two makes any admissible order land on the same
@@ -507,7 +490,7 @@ class CourantQuotient:
             raise ValueError("unknown strategy %r" % strategy)
         memo = self._memo
         if memo is None:
-            return self._split(self._normal_terms(self._fused_sum(u.terms.items(), strategy)))
+            return SCElement(self._normal_terms(self._fused_sum(u.terms.items(), strategy)))
         normal = memo.normal[strategy]
         missing = [m for m in u.terms if m not in normal]
         if missing:
@@ -518,7 +501,7 @@ class CourantQuotient:
         for m, c in u.terms.items():
             for t, w in _pairs(normal[m]):
                 acc[t] = acc.get(t, ZERO) + c * w
-        return self._split(acc)
+        return SCElement(acc)
 
     def _fused_sum(self, terms, strategy: str) -> dict[Monomial, Fraction]:
         """Fused form of sum c.m over (m, c) pairs."""
@@ -545,48 +528,35 @@ class CourantQuotient:
             out.update(self._relations[n].eliminate(vec) if n >= 2 else vec)
         return out
 
-    def _split(self, terms: dict[Monomial, Fraction]) -> SBElement:
-        a_part = {t[0][1]: c for t, c in terms.items() if t[0][0] == "a"}
-        return SBElement(
-            Vector._trusted(self.X.A.space, a_part),
-            {t: c for t, c in terms.items() if t[0][0] != "a"},
-        )
-
     # -- quotient operations ----------------------------------------------
 
-    def lift(self, u: SBElement) -> SCElement:
-        terms: dict[Monomial, Fraction] = {}
-        for i, c in u.a_part.items:
-            terms[(("a", i),)] = c
-        for m, c in u.monomial_part.items():
-            terms[m] = terms.get(m, Fraction(0)) + c
-        return SCElement(terms)
+    def lift(self, u: SCElement) -> SCElement:
+        """The identity: a normal form is already an element of the
+        symmetric algebra."""
+        return u
 
-    def embed_a(self, v: Vector) -> SBElement:
-        return SBElement(v, {})
+    def embed_a(self, v: Vector) -> SCElement:
+        return SCElement({(("a", i),): c for i, c in v.items})
 
-    def embed_b(self, v: Vector) -> SBElement:
-        return SBElement(self.X.A.space.zero(), {(("b", 0, i),): c for i, c in v.items})
+    def embed_b(self, v: Vector) -> SCElement:
+        return SCElement({(("b", 0, i),): c for i, c in v.items})
 
-    def multiply(self, u: SBElement, v: SBElement) -> SBElement:
-        return self.reduce(self.sym.multiply(self.lift(u), self.lift(v)))
+    def multiply(self, u: SCElement, v: SCElement) -> SCElement:
+        return self.reduce(self.sym.multiply(u, v))
 
-    def d(self, u: SBElement) -> SBElement:
-        return self.reduce(self.sym.d(self.lift(u)))
+    def d(self, u: SCElement) -> SCElement:
+        return self.reduce(self.sym.d(u))
 
-    def product(self, n: int, u: SBElement, v: SBElement) -> SBElement:
-        return self.reduce(self.sym.product(n, self.lift(u), self.lift(v)))
+    def product(self, n: int, u: SCElement, v: SCElement) -> SCElement:
+        return self.reduce(self.sym.product(n, u, v))
 
-    def to_b_vector(self, u: SBElement) -> Vector:
+    def to_a_vector(self, u: SCElement) -> Vector:
+        """A degree-0 normal form is a combination of single A-factors."""
+        return _single_factors(u, ("a",), self.X.A.space, 0)
+
+    def to_b_vector(self, u: SCElement) -> Vector:
         """A degree-1 normal form is a combination of single D^0 factors."""
-        if not u.a_part.is_zero():
-            raise ValueError("degree-1 element with a degree-0 part")
-        coeffs: dict[int, Fraction] = {}
-        for m, c in u.monomial_part.items():
-            if len(m) != 1 or m[0][1] != 0:
-                raise ValueError("not a degree-1 normal form: %r" % (m,))
-            coeffs[m[0][2]] = coeffs.get(m[0][2], Fraction(0)) + c
-        return Vector(self.X.B, coeffs)
+        return _single_factors(u, ("b", 0), self.X.B, 1)
 
     def basis_monomials(self, degree: int) -> list[Monomial]:
         """Canonical monomial basis of the given degree in the quotient:
@@ -601,39 +571,21 @@ class CourantQuotient:
 
     def extract_degree01(self) -> tuple[UnitalCommAlgebra, CourantAlgebroid]:
         """Recover the base algebra from degree 0 and the full Courant
-        structure from degrees 0 and 1 of the quotient."""
-        X = self.X
-        A = X.A.space
-        B = X.B
-        a_basis = [self.embed_a(A.unit_vector(l)) for l in A.basis]
-        b_basis = [self.embed_b(B.unit_vector(l)) for l in B.basis]
-        mult = BilinearMap(
-            A, A, A,
-            [[self.multiply(u, v).a_part for v in a_basis] for u in a_basis],
-        )
-        unit = self.reduce(self.sym.one()).a_part
-        action = BilinearMap(
-            A, B, B,
-            [[self.to_b_vector(self.multiply(a, u)) for u in b_basis] for a in a_basis],
-        )
-        bracket = BilinearMap(
-            B, B, B,
-            [[self.to_b_vector(self.product(0, u, v)) for v in b_basis] for u in b_basis],
-        )
-        anchor = BilinearMap(
-            B, A, A,
-            [[self.product(0, u, a).a_part for a in a_basis] for u in b_basis],
-        )
-        pairing = BilinearMap(
-            B, B, A,
-            [[self.product(1, u, v).a_part for v in b_basis] for u in b_basis],
-        )
-        partial = LinearMap(A, B, [self.to_b_vector(self.d(a)) for a in a_basis])
-        alg = UnitalCommAlgebra(A, mult, unit)
-        return alg, CourantAlgebroid(
-            A=alg, B=B, action=action, bracket=bracket,
-            anchor=anchor, pairing=pairing, partial=partial,
-        )
+        structure from degrees 0 and 1 of the quotient, read off its view
+        of those degrees as off any graded vertex Poisson algebra."""
+        Y = extract_courant(assemble_view(self, 1))
+        return Y.A, Y
+
+
+def _single_factors(u: SCElement, head: tuple, space: BasedSpace, degree: int) -> Vector:
+    """``u`` as a vector of ``space`` when each of its monomials is one
+    factor that begins with ``head``: ("a",) for A, ("b", 0) for B."""
+    coeffs: dict[int, Fraction] = {}
+    for m, c in u.terms.items():
+        if len(m) != 1 or m[0][: len(head)] != head:
+            raise ValueError("not a degree-%d normal form: %r" % (degree, m))
+        coeffs[m[0][-1]] = c
+    return Vector(space, coeffs)
 
 
 # -- checks ------------------------------------------------------------------
@@ -648,7 +600,7 @@ def check_ideal_stability(q: CourantQuotient) -> CheckReport:
     for lg, g in q.relators.all():
         dg = q.reduce(sym.d(g))
         if not dg.is_zero():
-            out.append(Violation(MODULE, "ideal.d", (lg,), repr(dg), "0"))
+            out.append(Violation(MODULE, "ideal.d", (lg,), format_element(sym, dg), "0"))
         gdeg = g.max_degree()
         for lu, f in gens:
             u = sym.monomial([f])
@@ -656,7 +608,7 @@ def check_ideal_stability(q: CourantQuotient) -> CheckReport:
                 got = q.reduce(sym.product(n, u, g))
                 if not got.is_zero():
                     out.append(
-                        Violation(MODULE, "ideal.prod", (lu, lg, "n=%d" % n), repr(got), "0")
+                        Violation(MODULE, "ideal.prod", (lu, lg, "n=%d" % n), format_element(sym, got), "0")
                     )
     return CheckReport(out)
 
@@ -691,15 +643,16 @@ def check_reduce_properties(q: CourantQuotient, count: int = 500, seed: int = 20
     repeats monomials, so it is reduced inside one ``memoized`` block,
     whose strategy-keyed memo keeps the two orders independent."""
     out = []
+    fmt = lambda u: format_element(q.sym, u)
     with q.memoized():
         for idx, u in enumerate(random_corpus(q, count, seed)):
             a = q.reduce(u, "leftmost")
             b = q.reduce(u, "rightmost")
             if a != b:
-                out.append(Violation(MODULE, "confluence", ("sample=%d" % idx,), repr(a), repr(b)))
-            again = q.reduce(q.lift(a))
+                out.append(Violation(MODULE, "confluence", ("sample=%d" % idx,), fmt(a), fmt(b)))
+            again = q.reduce(a)
             if again != a:
-                out.append(Violation(MODULE, "idempotent", ("sample=%d" % idx,), repr(again), repr(a)))
+                out.append(Violation(MODULE, "idempotent", ("sample=%d" % idx,), fmt(again), fmt(a)))
             in_degs = {mono_degree(m) for m in u.terms}
             out_degs = a.degrees()
             if not out_degs <= in_degs:
@@ -713,32 +666,20 @@ def check_quotient_dimensions(q: CourantQuotient) -> CheckReport:
     """Exact rank computations: reducing a spanning set of degrees 0 and 1
     yields spaces of dimension dim A and dim B."""
     out = []
-    sym = q.sym
-    A, B = q.X.A.space, q.X.B
-    a_monos = [m for m in sym.spanning_monomials(0, 3)]
-    deg0 = [q.reduce(SCElement({m: Fraction(1)})) for m in a_monos]
-    bad = [r for r in deg0 if r.monomial_part]
-    if bad:
-        out.append(Violation(MODULE, "dim0.shape", (), repr(bad[0]), "pure degree-0"))
-    r0 = rank([r.a_part for r in deg0])
-    if r0 != A.dim:
-        out.append(Violation(MODULE, "dim0.rank", (), str(r0), str(A.dim)))
-    deg1 = []
-    for m in a_monos:
-        if len(m) > 2:
+    a_monos = q.sym.spanning_monomials(0, 3)
+    b_monos = [
+        make_monomial(m + (("b", 0, j),)) for m in a_monos if len(m) <= 2 for j in range(q.X.B.dim)
+    ]
+    spans = ((0, a_monos, q.to_a_vector, q.X.A.space.dim), (1, b_monos, q.to_b_vector, q.X.B.dim))
+    for degree, monos, read, dim in spans:
+        try:
+            vecs = [read(q.reduce(SCElement({m: ONE}))) for m in monos]
+        except ValueError as err:
+            out.append(Violation(MODULE, "dim%d.shape" % degree, (), str(err), "pure degree-%d" % degree))
             continue
-        for j in range(B.dim):
-            mono = make_monomial(m + (("b", 0, j),))
-            deg1.append(q.reduce(SCElement({mono: Fraction(1)})))
-    try:
-        vecs = [q.to_b_vector(r) for r in deg1]
-    except ValueError as err:
-        out.append(Violation(MODULE, "dim1.shape", (), str(err), "pure degree-1"))
-        vecs = []
-    if vecs:
-        r1 = rank(vecs)
-        if r1 != B.dim:
-            out.append(Violation(MODULE, "dim1.rank", (), str(r1), str(B.dim)))
+        got = rank(vecs)
+        if got != dim:
+            out.append(Violation(MODULE, "dim%d.rank" % degree, (), str(got), str(dim)))
     return CheckReport(out)
 
 
@@ -746,25 +687,10 @@ def roundtrip_check(X: CourantAlgebroid, cutoff: int = 3) -> CheckReport:
     """Full pipeline round trip: rebuild the Courant algebroid from its
     quotient vertex Poisson algebra and demand structure-constant equality
     table for table, plus the degree-0/1 dimension identities."""
-    out = []
     q = CourantQuotient(X, cutoff)
-    alg, Y = q.extract_degree01()
-    pairs = {
-        "mult": (X.A.mult, Y.A.mult),
-        "action": (X.action, Y.action),
-        "bracket": (X.bracket, Y.bracket),
-        "anchor": (X.anchor, Y.anchor),
-        "pairing": (X.pairing, Y.pairing),
-    }
-    for name, (orig, got) in pairs.items():
-        if orig != got:
-            out.append(Violation(MODULE, "table.%s" % name, (), repr(got), repr(orig)))
-    if X.A.unit != Y.A.unit:
-        out.append(Violation(MODULE, "table.unit", (), format_vector(Y.A.unit), format_vector(X.A.unit)))
-    if X.partial != Y.partial:
-        out.append(Violation(MODULE, "table.partial", (), repr(Y.partial), repr(X.partial)))
-    rep = CheckReport(out).merge(
-        check_quotient_dimensions(q),
-        check_courant(Y),
-    )
-    return rep
+    _, Y = q.extract_degree01()
+    out = [
+        Violation(MODULE, "table." + name, (), repr(got), repr(want))
+        for name, (want, got) in differing_tables(X, Y).items()
+    ]
+    return CheckReport(out).merge(check_quotient_dimensions(q), check_courant(Y))

@@ -256,7 +256,7 @@ class VertexLie:
         out = self.zero()
         for f in firsts:
             for s in seconds:
-                key = (i, _spec_key(f), _spec_key(s))
+                key = (i, f, s)
                 cached = self._prod_cache.get(key)
                 if cached is None:
                     cached = self._gen_product(i, f, s)
@@ -319,12 +319,6 @@ class VertexLie:
             inner = _neg_ddx(inner)
         series = self._sing_exp_d(inner)
         return series.get(-i - 1, self.zero())
-
-
-def _spec_key(f: tuple):
-    if f[0] == "a":
-        return ("a", f[1])
-    return ("b", f[1], f[2])
 
 
 def _trim(s: dict[int, CElement]) -> dict[int, CElement]:

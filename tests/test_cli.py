@@ -68,6 +68,33 @@ def test_roundtrip_headline(capsys):
     assert "A: 1/1 tables equal; B: 4/4 tables equal" in out
 
 
+def test_roundtrip_reports_a_changed_table(monkeypatch, capsys):
+    # the read-back gives sl2 with one bracket entry bumped by +1: the
+    # round trip names that table, and the headline counts it
+    from dataclasses import replace
+    from fractions import Fraction
+
+    from courant_vpa.examples import example
+    from courant_vpa.linalg import BilinearMap, Vector
+    from courant_vpa.quotient import CourantQuotient, roundtrip_check
+
+    extract = CourantQuotient.extract_degree01
+
+    def bumped(self):
+        alg, Y = extract(self)
+        rows = [list(r) for r in Y.bracket.table]
+        rows[0][1] = rows[0][1] + Vector(Y.B, {0: Fraction(1)})
+        return alg, replace(Y, bracket=BilinearMap(Y.B, Y.B, Y.B, rows))
+
+    monkeypatch.setattr(CourantQuotient, "extract_degree01", bumped)
+    rep = roundtrip_check(example("quadratic_lie(sl2)"), cutoff=3)
+    assert not rep.passed
+    assert [v.axiom for v in rep.violations if v.module == "quotient"] == ["table.bracket"]
+    code, out, _ = run(capsys, "roundtrip", fixture_path("sl2.cvpa"), "--max-degree", "3")
+    assert code == 1
+    assert "A: 1/1 tables equal; B: 3/4 tables equal" in out
+
+
 def test_roundtrip_json(capsys):
     code, out, _ = run(capsys, "roundtrip", fixture_path("heisenberg.cvpa"), "--max-degree", "3", "--json")
     assert code == 0

@@ -11,7 +11,6 @@ from courant_vpa.fileformat import parse, print_file, view_to_file
 from courant_vpa.graded import (
     GradedVpaView,
     assemble_view,
-    check_view_dera1,
     extract_courant,
     validate_view,
 )
@@ -36,11 +35,6 @@ def test_extracted_algebroid_reproduces_input(name):
     assert Y.pairing == X.pairing
     assert Y.partial == X.partial
     assert check_courant(Y).passed
-
-
-def test_dera1_holds_on_assembled_views():
-    for name in ("heisenberg", "exact(2)", "quadratic_lie(sl2)"):
-        assert check_view_dera1(view_for(name)).passed
 
 
 def test_view_grading_shapes_validated():

@@ -22,7 +22,6 @@ from courant_vpa.linalg import BilinearMap, Echelon, Vector
 from courant_vpa.quotient import (
     CourantQuotient,
     ReduceBoundError,
-    SBElement,
     check_reduce_properties,
     random_corpus,
 )
@@ -116,10 +115,10 @@ def reference_reduce(q, relations, u, strategy):
     by_degree = {}
     for m, c in m_acc.items():
         by_degree.setdefault(mono_degree(m), {})[m] = c
-    out = {}
+    out = {(("a", i),): c for i, c in a_acc.items()}
     for n, vec in by_degree.items():
         out.update(relations[n].eliminate(vec) if n >= 2 else vec)
-    return SBElement(Vector(q.X.A.space, a_acc), out)
+    return SCElement(out)
 
 
 # -- relation rows ---------------------------------------------------------------
