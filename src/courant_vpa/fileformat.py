@@ -46,11 +46,14 @@ from fractions import Fraction
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra
 from .graded import GradedVpaView
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, scalar_from_str, scalar_to_str
+from .linalg import ONE, BasedSpace, BilinearMap, LinearMap, Vector, scalar_from_str, scalar_to_str
 from .tca import OneTruncatedConformalAlgebra
 
 LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
-TOKEN_RE = re.compile(r"\s*(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)")
+NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
+# a token, or (group 2) the text from the end of the last token through the
+# first character that starts none; an error is reported at its first character
+TOKEN_RE = re.compile(r"\s*(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)|(\s*\S)")
 
 COURANT_FIELDS = ("algebra", "unit", "mult", "module", "action", "bracket", "anchor", "pairing", "partial")
 TCA_FIELDS = ("c0", "c1", "partial", "p0_10", "p0_01", "p0_11", "p1_11")
@@ -92,82 +95,56 @@ class StructureFile:
 
 
 def _tokenize(text: str, line_no: int) -> list[tuple[str, int]]:
-    out = []
-    pos = 0
-    while pos < len(text):
-        m = TOKEN_RE.match(text, pos)
-        if not m:
-            if text[pos:].strip():
-                raise ParseError("unexpected character %r" % text[pos], line_no, pos + 1)
-            break
-        out.append((m.group(1), m.start(1) + 1))
-        pos = m.end()
+    out = [(m[1], m.start(1) + 1) for m in TOKEN_RE.finditer(text)]
+    if (None, 0) in out:  # group 2 matched
+        bad = next(m for m in TOKEN_RE.finditer(text) if m[2]).start()
+        raise ParseError("unexpected character %r" % text[bad], line_no, bad + 1)
     return out
 
 
-class _ExprParser:
-    """coeff, coeff*label, label, chained with + and -; '0' is zero."""
-
-    def __init__(self, tokens, line_no, space: BasedSpace):
-        self.toks = tokens
-        self.i = 0
-        self.line = line_no
-        self.space = space
-
-    def peek(self):
-        return self.toks[self.i] if self.i < len(self.toks) else (None, 0)
-
-    def parse(self) -> Vector:
-        coeffs: dict[int, Fraction] = {}
-        if self.peek()[0] == "0" and self.i + 1 == len(self.toks):
-            return self.space.zero()
-        sign = Fraction(1)
-        if self.peek()[0] == "-":
-            sign = Fraction(-1)
-            self.i += 1
-        while True:
-            c, label, col = self._term()
-            try:
-                idx = self.space.index(label)
-            except KeyError:
-                raise ParseError(
-                    "label %r is not in space %r" % (label, self.space.name), self.line, col
-                ) from None
-            coeffs[idx] = coeffs.get(idx, Fraction(0)) + sign * c
-            tok, col = self.peek()
-            if tok is None:
-                break
-            if tok == "+":
-                sign = Fraction(1)
-            elif tok == "-":
-                sign = Fraction(-1)
-            else:
-                raise ParseError("expected + or -, got %r" % tok, self.line, col)
-            self.i += 1
-        return Vector(self.space, coeffs)
-
-    def _term(self):
-        tok, col = self.peek()
+def _parse_expr(toks: list, line: int, space: BasedSpace) -> Vector:
+    """coeff*label or label terms chained with + and -, one leading - allowed;
+    '0' alone is zero.  Each coefficient is built once, with its sign."""
+    if len(toks) == 1 and toks[0][0] == "0":
+        return space.zero()
+    toks = toks + [(None, 0)]
+    coeffs: dict[int, Fraction] = {}
+    negative = toks[0][0] == "-"
+    i = 1 if negative else 0
+    while True:
+        tok, col = toks[i]
         if tok is None:
-            raise ParseError("expected a term", self.line, col)
-        self.i += 1
-        if re.fullmatch(r"\d+(?:/\d+)?", tok):
+            raise ParseError("expected a term", line, col)
+        i += 1
+        if NUMBER_RE.fullmatch(tok):
             try:
-                coeff = scalar_from_str(tok)
+                c = scalar_from_str(tok, negative)
             except ValueError as err:
-                raise ParseError(str(err), self.line, col) from None
-            tok2, col2 = self.peek()
-            if tok2 == "*":
-                self.i += 1
-                label, col3 = self.peek()
-                if label is None or not LABEL_RE.match(label):
-                    raise ParseError("expected a basis label after *", self.line, col3)
-                self.i += 1
-                return coeff, label, col3
-            raise ParseError("a bare coefficient needs *label (or write 0)", self.line, col)
-        if LABEL_RE.match(tok):
-            return Fraction(1), tok, col
-        raise ParseError("unexpected token %r in expression" % tok, self.line, col)
+                raise ParseError(str(err), line, col) from None
+            if toks[i][0] != "*":
+                raise ParseError("a bare coefficient needs *label (or write 0)", line, col)
+            label, col = toks[i + 1]
+            if label is None or not LABEL_RE.match(label):
+                raise ParseError("expected a basis label after *", line, col)
+            i += 2
+        elif LABEL_RE.match(tok):
+            c, label = -ONE if negative else ONE, tok
+        else:
+            raise ParseError("unexpected token %r in expression" % tok, line, col)
+        try:
+            idx = space.index(label)
+        except KeyError:
+            raise ParseError("label %r is not in space %r" % (label, space.name), line, col) from None
+        x = coeffs.get(idx)
+        coeffs[idx] = c if x is None else x + c
+        tok, col = toks[i]
+        if tok is None:
+            # indices come from the space's index, coefficients are Fractions
+            return Vector._trusted(space, coeffs)
+        if tok != "+" and tok != "-":
+            raise ParseError("expected + or -, got %r" % tok, line, col)
+        negative = tok == "-"
+        i += 1
 
 
 def parse(text: str) -> StructureFile:
@@ -181,17 +158,14 @@ def parse(text: str) -> StructureFile:
             return
         if section[0] == "map":
             name, domain, codomain, entries = pending["name"], pending["domain"], pending["codomain"], pending["entries"]
-            cols = []
-            for label in domain.basis:
-                cols.append(entries.get(label, codomain.zero()))
-            sf.maps[name] = LinearMap(domain, codomain, cols)
+            zero = codomain.zero()
+            sf.maps[name] = LinearMap(domain, codomain, [entries.get(label, zero) for label in domain.basis])
         elif section[0] == "product":
             name = pending["name"]
             left, right, codomain = pending["left"], pending["right"], pending["codomain"]
             entries = pending["entries"]
-            rows = []
-            for l in left.basis:
-                rows.append([entries.get((l, r), codomain.zero()) for r in right.basis])
+            zero = codomain.zero()
+            rows = [[entries.get((l, r), zero) for r in right.basis] for l in left.basis]
             try:
                 sf.products[name] = BilinearMap(
                     left, right, codomain, rows,
@@ -236,6 +210,11 @@ def parse(text: str) -> StructureFile:
             for (t, c) in toks[1:]:
                 if not LABEL_RE.match(t):
                     raise ParseError("bad label %r" % t, line_no, c)
+            seen = set()
+            for (t, c) in toks[2:]:
+                if t in seen:
+                    raise ParseError("label %r repeated in space %r" % (t, name), line_no, c)
+                seen.add(t)
             if name in sf.spaces:
                 raise ParseError("space %r already defined" % name, line_no, col0)
             sf.spaces[name] = BasedSpace(name, labels)
@@ -281,22 +260,22 @@ def parse(text: str) -> StructureFile:
             if len(toks) < 3 or words[1] != "->":
                 raise ParseError("map entry needs: label -> expr", line_no, col0)
             label = words[0]
-            if label not in pending["domain"].basis:
+            if label not in pending["domain"]:
                 raise ParseError("label %r not in domain" % label, line_no, col0)
             if label in pending["entries"]:
                 raise ParseError("duplicate entry for %r" % label, line_no, col0)
-            pending["entries"][label] = _ExprParser(toks[2:], line_no, pending["codomain"]).parse()
+            pending["entries"][label] = _parse_expr(toks[2:], line_no, pending["codomain"])
         elif section and section[0] == "product":
             if len(words) < 6 or words[0] != "(" or words[2] != "," or words[4] != ")" or words[5] != "->":
                 raise ParseError("product entry needs: (l1,l2) -> expr", line_no, col0)
             l1, l2 = words[1], words[3]
-            if l1 not in pending["left"].basis:
+            if l1 not in pending["left"]:
                 raise ParseError("label %r not in left space" % l1, line_no)
-            if l2 not in pending["right"].basis:
+            if l2 not in pending["right"]:
                 raise ParseError("label %r not in right space" % l2, line_no)
             if (l1, l2) in pending["entries"]:
                 raise ParseError("duplicate entry (%s,%s)" % (l1, l2), line_no)
-            pending["entries"][(l1, l2)] = _ExprParser(toks[6:], line_no, pending["codomain"]).parse()
+            pending["entries"][(l1, l2)] = _parse_expr(toks[6:], line_no, pending["codomain"])
         elif section and section[0] == "structure":
             key = words[0]
             sf.bindings.setdefault(key, []).append((words[1:], line_no))
@@ -351,7 +330,7 @@ def _unit_vector(sf: StructureFile, space: BasedSpace) -> Vector:
         raise ParseError("missing unit binding", 1)
     words, line = vals[0]
     toks = [(w, 0) for w in words]
-    return _ExprParser(toks, line, space).parse()
+    return _parse_expr(toks, line, space)
 
 
 def _courant_parts(sf: StructureFile):
@@ -552,7 +531,8 @@ def view_to_file(V: GradedVpaView, meta: dict | None = None) -> StructureFile:
         return sf.spaces[names[deg]]
 
     def remap_vec(v: Vector, deg: int) -> Vector:
-        return Vector(respace(deg), dict(v.items))
+        space = respace(deg)
+        return v if v.space == space else Vector(space, dict(v.items))
 
     sf.kind = "graded-vpa"
     sf.bindings = {"space": [([str(d), names[d]], 0) for d in range(len(V.spaces))]}

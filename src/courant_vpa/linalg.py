@@ -41,8 +41,9 @@ class SpaceMismatch(ValueError):
     """Raised when vectors or maps are combined across different spaces."""
 
 
-def scalar_from_str(text: str) -> Scalar:
-    """Parse ``p`` or ``p/q`` into an exact rational.
+def scalar_from_str(text: str, negate: bool = False) -> Scalar:
+    """Parse ``p`` or ``p/q`` into an exact rational, negated when
+    ``negate`` is set.
 
     Raises ValueError on malformed input or a zero denominator.
     """
@@ -52,8 +53,10 @@ def scalar_from_str(text: str) -> Scalar:
         d = int(den)
         if d == 0:
             raise ValueError("zero denominator in %r" % text)
-        return Fraction(int(num), d)
-    return Fraction(int(text))
+        n = int(num)
+        return Fraction(-n if negate else n, d)
+    n = int(text)
+    return Fraction(-n if negate else n)
 
 
 def scalar_to_str(value: Scalar) -> str:
@@ -77,6 +80,9 @@ class BasedSpace:
     @property
     def dim(self) -> int:
         return len(self.basis)
+
+    def __contains__(self, label: str) -> bool:
+        return label in self._index
 
     def index(self, label: str) -> int:
         try:

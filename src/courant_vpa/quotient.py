@@ -84,7 +84,7 @@ from .courant import (
     to_1tca,
 )
 from .graded import assemble_view, extract_courant
-from .linalg import ONE, ZERO, BasedSpace, Echelon, Vector, rank
+from .linalg import ONE, ZERO, BasedSpace, Echelon, LinearMap, Vector, format_vector, rank
 from .reports import CheckReport, Violation
 from .vlie import VertexLie
 from .vpa import (
@@ -683,14 +683,27 @@ def check_quotient_dimensions(q: CourantQuotient) -> CheckReport:
     return CheckReport(out)
 
 
+def _entries(t) -> list[tuple[tuple[str, ...], Vector]]:
+    """The entries of a structure table (the unit, a linear or a bilinear
+    map), each under the basis labels it sits at."""
+    if isinstance(t, Vector):
+        return [((), t)]
+    if isinstance(t, LinearMap):
+        return [((l,), col) for l, col in zip(t.domain.basis, t.columns)]
+    return [((l, r), v) for l, row in zip(t.left.basis, t.table) for r, v in zip(t.right.basis, row)]
+
+
 def roundtrip_check(X: CourantAlgebroid, cutoff: int = 3) -> CheckReport:
     """Full pipeline round trip: rebuild the Courant algebroid from its
     quotient vertex Poisson algebra and demand structure-constant equality
-    table for table, plus the degree-0/1 dimension identities."""
+    entry for entry, plus the degree-0/1 dimension identities."""
     q = CourantQuotient(X, cutoff)
     _, Y = q.extract_degree01()
+    # Y is read back over X's own spaces, so its tables have X's shapes
     out = [
-        Violation(MODULE, "table." + name, (), repr(got), repr(want))
+        Violation(MODULE, "table." + name, at, format_vector(g), format_vector(w))
         for name, (want, got) in differing_tables(X, Y).items()
+        for (at, w), (_, g) in zip(_entries(want), _entries(got))
+        if w != g
     ]
     return CheckReport(out).merge(check_quotient_dimensions(q), check_courant(Y))

@@ -89,7 +89,11 @@ def test_roundtrip_reports_a_changed_table(monkeypatch, capsys):
     monkeypatch.setattr(CourantQuotient, "extract_degree01", bumped)
     rep = roundtrip_check(example("quadratic_lie(sl2)"), cutoff=3)
     assert not rep.passed
-    assert [v.axiom for v in rep.violations if v.module == "quotient"] == ["table.bracket"]
+    table_fails = [v for v in rep.violations if v.module == "quotient"]
+    assert [v.axiom for v in table_fails] == ["table.bracket"]
+    # the violation names the entry, and its sides read differently
+    assert table_fails[0].tuple == ("E", "F")
+    assert table_fails[0].lhs != table_fails[0].rhs
     code, out, _ = run(capsys, "roundtrip", fixture_path("sl2.cvpa"), "--max-degree", "3")
     assert code == 1
     assert "A: 1/1 tables equal; B: 3/4 tables equal" in out

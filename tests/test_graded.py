@@ -6,16 +6,18 @@ from importlib import resources
 import pytest
 
 from courant_vpa.courant import StructureError, check_courant
-from courant_vpa.examples import example
+from courant_vpa.examples import example, example_names
 from courant_vpa.fileformat import parse, print_file, view_to_file
 from courant_vpa.graded import (
     GradedVpaView,
+    _top,
     assemble_view,
     extract_courant,
     validate_view,
 )
 from courant_vpa.linalg import BilinearMap, Vector
 from courant_vpa.quotient import CourantQuotient
+from courant_vpa.vpa import SCElement
 
 
 def view_for(name, cutoff=2):
@@ -94,6 +96,31 @@ def test_mult_tables_are_flip_consistent():
     for i in range(m01.left.dim):
         for j in range(m01.right.dim):
             assert m01.table[i][j] == m10.table[j][i]
+
+
+@pytest.mark.parametrize(
+    "name,cutoff",
+    [(name, cutoff) for name in example_names() for cutoff in (2, 3)] + [("quadratic_lie(sl2)", 4)],
+)
+def test_grading_skip_drops_only_zero_products(name, cutoff):
+    # every product entry assemble_view leaves out by grading reduces to 0
+    # when the symmetric algebra computes it in full
+    q = CourantQuotient(example(name), cutoff)
+    elems = [
+        [q.embed_a(v) for v in q.X.A.space.basis_vectors()],
+        [q.embed_b(v) for v in q.X.B.basis_vectors()],
+    ] + [[q.reduce(SCElement({m: Fraction(1)})) for m in q.basis_monomials(p)] for p in range(2, cutoff + 1)]
+    skipped = 0
+    with q.memoized():
+        for p, us in enumerate(elems):
+            for qd, vs in enumerate(elems):
+                for n in range(max(0, p + qd - 1 - cutoff), p + qd):
+                    for u in us:
+                        for v in vs:
+                            if n >= _top(u) + _top(v):
+                                skipped += 1
+                                assert q.reduce(q.sym.product(n, u, v)).is_zero(), (n, u, v)
+    assert skipped > 0
 
 
 def _pinned_views():
