@@ -51,9 +51,8 @@ from .tca import OneTruncatedConformalAlgebra
 
 LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
 NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
-# a token, or (group 2) the text from the end of the last token through the
-# first character that starts none; an error is reported at its first character
-TOKEN_RE = re.compile(r"\s*(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)|(\s*\S)")
+# after any whitespace, a token or (group 2) a character that starts none
+TOKEN_RE = re.compile(r"\s*(?:(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)|(\S))")
 
 COURANT_FIELDS = ("algebra", "unit", "mult", "module", "action", "bracket", "anchor", "pairing", "partial")
 TCA_FIELDS = ("c0", "c1", "partial", "p0_10", "p0_01", "p0_11", "p1_11")
@@ -97,17 +96,19 @@ class StructureFile:
 def _tokenize(text: str, line_no: int) -> list[tuple[str, int]]:
     out = [(m[1], m.start(1) + 1) for m in TOKEN_RE.finditer(text)]
     if (None, 0) in out:  # group 2 matched
-        bad = next(m for m in TOKEN_RE.finditer(text) if m[2]).start()
+        bad = next(m for m in TOKEN_RE.finditer(text) if m[2]).start(2)
         raise ParseError("unexpected character %r" % text[bad], line_no, bad + 1)
     return out
 
 
-def _parse_expr(toks: list, line: int, space: BasedSpace) -> Vector:
+def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
     """coeff*label or label terms chained with + and -, one leading - allowed;
-    '0' alone is zero.  Each coefficient is built once, with its sign."""
+    '0' alone is zero.  Each coefficient is built once, with its sign.  A
+    missing term or label is reported at column ``end``, one past the
+    expression."""
     if len(toks) == 1 and toks[0][0] == "0":
         return space.zero()
-    toks = toks + [(None, 0)]
+    toks = toks + [(None, end)]
     coeffs: dict[int, Fraction] = {}
     negative = toks[0][0] == "-"
     i = 1 if negative else 0
@@ -264,18 +265,22 @@ def parse(text: str) -> StructureFile:
                 raise ParseError("label %r not in domain" % label, line_no, col0)
             if label in pending["entries"]:
                 raise ParseError("duplicate entry for %r" % label, line_no, col0)
-            pending["entries"][label] = _parse_expr(toks[2:], line_no, pending["codomain"])
+            pending["entries"][label] = _parse_expr(
+                toks[2:], line_no, pending["codomain"], len(body) + 1
+            )
         elif section and section[0] == "product":
             if len(words) < 6 or words[0] != "(" or words[2] != "," or words[4] != ")" or words[5] != "->":
                 raise ParseError("product entry needs: (l1,l2) -> expr", line_no, col0)
             l1, l2 = words[1], words[3]
             if l1 not in pending["left"]:
-                raise ParseError("label %r not in left space" % l1, line_no)
+                raise ParseError("label %r not in left space" % l1, line_no, toks[1][1])
             if l2 not in pending["right"]:
-                raise ParseError("label %r not in right space" % l2, line_no)
+                raise ParseError("label %r not in right space" % l2, line_no, toks[3][1])
             if (l1, l2) in pending["entries"]:
-                raise ParseError("duplicate entry (%s,%s)" % (l1, l2), line_no)
-            pending["entries"][(l1, l2)] = _parse_expr(toks[6:], line_no, pending["codomain"])
+                raise ParseError("duplicate entry (%s,%s)" % (l1, l2), line_no, col0)
+            pending["entries"][(l1, l2)] = _parse_expr(
+                toks[6:], line_no, pending["codomain"], len(body) + 1
+            )
         elif section and section[0] == "structure":
             key = words[0]
             sf.bindings.setdefault(key, []).append((words[1:], line_no))
@@ -330,7 +335,7 @@ def _unit_vector(sf: StructureFile, space: BasedSpace) -> Vector:
         raise ParseError("missing unit binding", 1)
     words, line = vals[0]
     toks = [(w, 0) for w in words]
-    return _parse_expr(toks, line, space)
+    return _parse_expr(toks, line, space, 0)
 
 
 def _courant_parts(sf: StructureFile):

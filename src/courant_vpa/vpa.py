@@ -98,7 +98,7 @@ class SCElement:
     def __add__(self, other: "SCElement") -> "SCElement":
         out = dict(self.terms)
         for m, c in other.terms.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out[m] + c if m in out else c
         return SCElement(out)
 
     def __sub__(self, other: "SCElement") -> "SCElement":
@@ -200,7 +200,7 @@ class SymAlgebra:
             if n + 1 > self.cutoff:
                 raise CutoffError("degree %d > cutoff" % (n + 1))
             for i, coef in vec.items:
-                out[(("b", n, i),)] = out.get((("b", n, i),), Fraction(0)) + coef
+                out[(("b", n, i),)] = coef
         return SCElement(out)
 
     def factor_celement(self, f: Factor) -> CElement:
@@ -247,14 +247,13 @@ class SymAlgebra:
     # -- ring operations ---------------------------------------------------
 
     def multiply(self, u: SCElement, v: SCElement) -> SCElement:
+        if not u.terms or not v.terms:
+            return SCElement({})
+        if len(u.terms) > len(v.terms):
+            u, v = v, u
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in u.terms.items():
-            d1 = mono_degree(m1)
-            for m2, c2 in v.terms.items():
-                if d1 + mono_degree(m2) > self.cutoff:
-                    raise CutoffError("product degree exceeds cutoff %d" % self.cutoff)
-                m = make_monomial(m1 + m2)
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+            self._add_times(out, v.terms.items(), m1, c1)
         return SCElement(out)
 
     def _add_times(self, acc: dict, terms, m: Monomial, scale=1) -> None:
@@ -277,7 +276,8 @@ class SymAlgebra:
         """sum of coef * elem over (coef, elem) pairs."""
         acc: dict[Monomial, Fraction] = {}
         for coef, u in terms:
-            self._add_times(acc, u.terms.items(), (), coef)
+            if u.terms:
+                self._add_times(acc, u.terms.items(), (), coef)
         return SCElement(acc)
 
     def _d_monomial(self, m: Monomial) -> tuple:
@@ -384,18 +384,18 @@ class SymAlgebra:
         """
         if n < 0:
             raise ValueError("product index must be nonnegative")
+        if route == "generator" and any(len(mu) != 1 for mu in u.terms):
+            raise ValueError("generator route needs single-factor monomials")
+        if not u.terms or not v.terms:
+            return SCElement({})
         acc: dict[Monomial, Fraction] = {}
         for mu, cu in u.terms.items():
-            if route == "generator" or (route == "auto" and len(mu) == 1):
-                if len(mu) != 1:
-                    raise ValueError("generator route needs single-factor monomials")
-                kind = "generator"
-            else:
-                kind = "skew"
+            kind = "generator" if route == "generator" or (route == "auto" and len(mu) == 1) else "skew"
+            unit = cu == 1
             for mv, cv in v.terms.items():
                 w = self._pair(kind, n, mu, mv)
                 if w:
-                    self._add_times(acc, _pairs(w), (), cu * cv)
+                    self._add_times(acc, _pairs(w), (), cv if unit else cu * cv)
         return SCElement(acc)
 
 
@@ -481,23 +481,26 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
     def hd_part():
         out = []
         thirds = gen_elems + [("1", sym.one(), 0)] + _sample(composites, 6)
+        # (v, w, v.w), each v.w formed once for every u
+        vws = [
+            ((lv, v, q), (lw, w, r), sym.multiply(v, w))
+            for lv, v, q in span_elems
+            for lw, w, r in thirds
+            if q + r <= top
+        ]
         for lu, u, p in gen_elems + _sample(composites, 8):
             u_on: dict[tuple[str, int], SCElement] = {}
-            for lv, v, q in span_elems:
-                for lw, w, r in thirds:
-                    if q + r > top:
-                        continue
-                    vw = sym.multiply(v, w)
-                    lo = max(0, p + q + r - top - 1)
-                    for n in range(lo, p + q + r):
-                        lhs = sym.product(n, u, vw)
-                        uv = cached_product(u_on, (lv, n), n, u, v)
-                        uw = cached_product(u_on, (lw, n), n, u, w)
-                        rhs = sym.multiply(uv, w) + sym.multiply(v, uw)
-                        if lhs != rhs:
-                            out.append(
-                                Violation(MODULE, "hd", (lu, lv, lw, "n=%d" % n), fmt(lhs), fmt(rhs))
-                            )
+            for (lv, v, q), (lw, w, r), vw in vws:
+                lo = max(0, p + q + r - top - 1)
+                for n in range(lo, p + q + r):
+                    lhs = sym.product(n, u, vw)
+                    uv = cached_product(u_on, (lv, n), n, u, v)
+                    uw = cached_product(u_on, (lw, n), n, u, w)
+                    rhs = sym.multiply(uv, w) + sym.multiply(v, uw)
+                    if lhs != rhs:
+                        out.append(
+                            Violation(MODULE, "hd", (lu, lv, lw, "n=%d" % n), fmt(lhs), fmt(rhs))
+                        )
         return out
 
     def unique_part():

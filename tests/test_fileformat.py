@@ -58,16 +58,18 @@ def test_zero_denominator_is_positioned_error():
 # (line replaced in MINIMAL, its replacement, the ParseError's (message, line, col))
 MALFORMED_ENTRIES = {
     "unexpected character": ("(e,e) -> e", "(e,e) -> 2*e$", ("unexpected character '$'", 5, 15)),
-    "dangling plus": ("(e,e) -> e", "(e,e) -> e +", ("expected a term", 5, 0)),
+    "unexpected character after a space": ("(e,e) -> e", "(e,e) -> e $ e", ("unexpected character '$'", 5, 14)),
+    "dangling plus": ("(e,e) -> e", "(e,e) -> e +", ("expected a term", 5, 15)),
     "bare coefficient": ("(e,e) -> e", "(e,e) -> e - 3/2", ("a bare coefficient needs *label (or write 0)", 5, 16)),
-    "star without label": ("(e,e) -> e", "(e,e) -> 2*", ("expected a basis label after *", 5, 0)),
+    "star without label": ("(e,e) -> e", "(e,e) -> 2*", ("expected a basis label after *", 5, 14)),
     "star before a sign": ("(e,e) -> e", "(e,e) -> 2* - e", ("expected a basis label after *", 5, 15)),
     "sign after a sign": ("(e,e) -> e", "(e,e) -> - - e", ("unexpected token '-' in expression", 5, 14)),
     "label after a label": ("(e,e) -> e", "(e,e) -> e e", ("expected + or -, got 'e'", 5, 14)),
     "unknown label": ("(e,u) -> u", "(e,u) -> u + 1/2*v", ("label 'v' is not in space 'B'", 7, 20)),
-    "duplicate entry": ("(e,e) -> e", "(e,e) -> e\n  (e,e) -> e", ("duplicate entry (e,e)", 6, 0)),
+    "duplicate entry": ("(e,e) -> e", "(e,e) -> e\n  (e,e) -> e", ("duplicate entry (e,e)", 6, 3)),
     "bad pair shape": ("(e,e) -> e", "(e e) -> e", ("product entry needs: (l1,l2) -> expr", 5, 3)),
-    "pair label not in left space": ("(e,u) -> u", "(u,u) -> u", ("label 'u' not in left space", 7, 0)),
+    "pair label not in left space": ("(e,u) -> u", "(u,u) -> u", ("label 'u' not in left space", 7, 4)),
+    "pair label not in right space": ("(e,u) -> u", "(e,e) -> u", ("label 'e' not in right space", 7, 6)),
     "map entry without arrow": ("MAP del A B", "MAP del A B\n  e u", ("map entry needs: label -> expr", 12, 3)),
     "duplicate map entry": ("MAP del A B", "MAP del A B\n  e -> u\n  e -> u", ("duplicate entry for 'e'", 13, 3)),
     "map label not in domain": ("MAP del A B", "MAP del A B\n  u -> u", ("label 'u' not in domain", 12, 3)),

@@ -233,3 +233,72 @@ def test_check_vpa_drops_its_memo(monkeypatch):
         check_vpa(sym)
     assert sizes and sizes[0] > 0
     assert sym._memo is None
+
+
+# -- zero arguments ----------------------------------------------------------
+
+
+def test_zero_arguments_give_zero():
+    sym = make("exact(2)", cutoff=3)
+    zero = sym.zero()
+    x, dx = sym.a_gen("x"), sym.b_gen("dx")
+    xdx = sym.multiply(x, dx)
+    for u in (zero, x, dx, xdx):
+        assert sym.multiply(u, zero) == zero
+        assert sym.multiply(zero, u) == zero
+        for n in range(3):
+            for route in ("auto", "skew"):
+                assert sym.product(n, u, zero, route) == zero
+                assert sym.product(n, zero, u, route) == zero
+    assert sym.product(0, dx, zero, "generator") == zero
+    assert sym.product(0, zero, xdx, "generator") == zero
+    assert sym.combine([]) == zero
+    assert sym.combine([(1, zero), (Fraction(-2), zero)]) == zero
+    assert sym.combine([(1, xdx), (-1, xdx), (3, zero)]) == zero
+    assert sym.combine([(0, xdx), (2, zero), (1, dx)]) == dx
+
+
+def test_zero_arguments_still_raise():
+    sym = make("exact(2)", cutoff=3)
+    zero, xdx = sym.zero(), sym.multiply(sym.a_gen("x"), sym.b_gen("dx"))
+    for u, v in ((zero, zero), (xdx, zero), (zero, xdx)):
+        with pytest.raises(ValueError):
+            sym.product(-1, u, v)
+    with pytest.raises(ValueError):
+        sym.product(0, xdx, zero, route="generator")
+
+
+def _draw_sparse(data, monos):
+    # coefficient 0 drops its monomial, so zero elements are drawn too
+    return SCElement(data.draw(st.dictionaries(
+        st.sampled_from(monos),
+        st.fractions(min_value=-2, max_value=2, max_denominator=3),
+        max_size=3,
+    )))
+
+
+def _bilinear(u, v, pair):
+    """sum of cu * cv * pair(mu, mv) over every pair of monomials."""
+    out = SCElement({})
+    for mu, cu in u.terms.items():
+        for mv, cv in v.terms.items():
+            out = out + pair(mu, mv).scale(cu * cv)
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_short_circuits_agree_with_bilinear_expansion(data):
+    sym = MEMO_SYMS[data.draw(st.sampled_from(sorted(MEMO_SYMS)))]
+    monos = sym.spanning_monomials(3, 3)
+    route = data.draw(st.sampled_from(["auto", "generator", "skew"]))
+    u = _draw_sparse(data, [m for m in monos if len(m) == 1] if route == "generator" else monos)
+    v = _draw_sparse(data, monos)
+    n = data.draw(st.integers(0, 3))
+    unit = lambda m: SCElement({m: Fraction(1)})
+    got = _outcome(lambda: sym.product(n, u, v, route))
+    want = _outcome(lambda: _bilinear(u, v, lambda mu, mv: sym.product(n, unit(mu), unit(mv), route)))
+    assert got == want
+    got = _outcome(lambda: sym.multiply(u, v))
+    want = _outcome(lambda: _bilinear(u, v, lambda mu, mv: sym.monomial(mu + mv)))
+    assert got == want
