@@ -36,10 +36,11 @@ from .reports import Violation
 
 def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[Violation]:
     """hs with the grading of u_n v, then hp and dcomm on each pair
-    ``((lu, u, p), (lv, v, q))``, and grading.d once per label ``lu``; hp
-    and grading.d need p + 1 <= dtop and dcomm q + 1 <= dtop."""
+    ``((lu, u, p), (lv, v, q))``, and grading.d once per element ``u``
+    (D u is computed once); hp and grading.d need p + 1 <= dtop and dcomm
+    q + 1 <= dtop."""
     out = []
-    d_of = {}  # lu -> D u
+    d_of = {}  # u -> D u, keyed by value: distinct elements may share a label
     for (lu, u, p), (lv, v, q) in pairs:
         lo = max(0, p + q - top - 1)
         puv = {k: alg.product(k, u, v) for k in range(lo, p + q + 2)}
@@ -63,9 +64,9 @@ def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[V
         # -n u_(n-1) v, the right side of hp and dcomm
         below = {n: alg.combine([(-n, puv[n - 1])]) if n else alg.zero() for n in window}
         if p + 1 <= dtop:
-            du = d_of.get(lu)
+            du = d_of.get(u)
             if du is None:
-                du = d_of[lu] = alg.d(u)
+                du = d_of[u] = alg.d(u)
                 if any(dd != p + 1 for dd in du.degrees()):
                     out.append(Violation(module, "grading.d", (lu,), fmt(du), "degree %d" % (p + 1)))
             for n in window:
