@@ -36,6 +36,14 @@ A graded-vpa structure binds per-degree sections instead:
       d 0 d0
       mult 0 0 m_0_0
       prod 0 1 1 p_0_1_1
+
+A binding line is a key, its degree indices, and the name of a SPACE, MAP
+or PRODUCT, as ``SCHEMA`` lays out per kind (1tca binds c0 c1 partial
+p0_10 p0_01 p0_11 p1_11); ``unit`` binds an expression in degree 0.  There
+is one line per key, or one per degree tuple for space, d, mult and prod,
+and unknown keys are rejected.  A malformed line is reported at its own
+token; a missing binding, a wrong shape or a gap in the degrees at the
+STRUCTURE line.
 """
 
 from __future__ import annotations
@@ -54,8 +62,42 @@ NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
 # after any whitespace, a token or (group 2) a character that starts none
 TOKEN_RE = re.compile(r"\s*(?:(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)|(\S))")
 
-COURANT_FIELDS = ("algebra", "unit", "mult", "module", "action", "bracket", "anchor", "pairing", "partial")
-TCA_FIELDS = ("c0", "c1", "partial", "p0_10", "p0_01", "p0_11", "p1_11")
+# STRUCTURE keys per kind, in print order: key -> (number of degree indices,
+# the table its name is looked up in, the name the writers give a map or
+# product, formatted with its degrees).  Spaces keep their own names; the
+# unit (table None) is an expression over the degree-0 space.
+SCHEMA = {
+    "courant": {
+        "algebra": (0, "spaces", None),
+        "unit": (0, None, None),
+        "mult": (0, "products", "mul"),
+        "module": (0, "spaces", None),
+        "action": (0, "products", "act"),
+        "bracket": (0, "products", "brk"),
+        "anchor": (0, "products", "anc"),
+        "pairing": (0, "products", "pair"),
+        "partial": (0, "maps", "del"),
+    },
+    "1tca": {
+        "c0": (0, "spaces", None),
+        "c1": (0, "spaces", None),
+        "partial": (0, "maps", "del"),
+        "p0_10": (0, "products", "p0_10"),
+        "p0_01": (0, "products", "p0_01"),
+        "p0_11": (0, "products", "p0_11"),
+        "p1_11": (0, "products", "p1_11"),
+    },
+    "graded-vpa": {
+        "space": (1, "spaces", None),
+        "unit": (0, None, None),
+        "d": (1, "maps", "d%d"),
+        "mult": (2, "products", "m_%d_%d"),
+        "prod": (3, "products", "p_%d_%d_%d"),
+    },
+}
+# how a malformed binding names what it needs, by table and by degree count
+TABLE_WORDS = {"spaces": ("SPACE", "name"), "maps": ("MAP", "mapname"), "products": ("PRODUCT", "productname")}
+DEGREE_WORDS = ("", "DEGREE", "P Q", "N P Q")
 
 
 class ParseError(ValueError):
@@ -73,24 +115,43 @@ class StructureFile:
     maps: dict = field(default_factory=dict)            # name -> LinearMap
     products: dict = field(default_factory=dict)        # name -> BilinearMap
     kind: str = ""
-    bindings: dict = field(default_factory=dict)        # key -> [(words, line)]
-
-    def _norm_bindings(self):
-        return {k: [tuple(w) for w, _ in v] for k, v in self.bindings.items()}
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, StructureFile) and (
-            self.meta, self.spaces, self.maps, self.products, self.kind, self._norm_bindings()
-        ) == (other.meta, other.spaces, other.maps, other.products, other.kind, other._norm_bindings())
+    bindings: dict = field(default_factory=dict)        # key -> {degrees: name, or the unit Vector}
 
     def courant(self) -> CourantAlgebroid:
-        return _sf_courant(self)
+        o = self._objects("courant")
+        A = UnitalCommAlgebra(o.pop("algebra"), o.pop("mult"), o.pop("unit"))
+        return CourantAlgebroid(A=A, B=o.pop("module"), **o)
 
     def tca(self) -> OneTruncatedConformalAlgebra:
-        return _sf_tca(self)
+        o = self._objects("1tca")
+        return OneTruncatedConformalAlgebra(C0=o.pop("c0"), C1=o.pop("c1"), **o)
 
     def graded_view(self) -> GradedVpaView:
-        return _sf_graded_view(self)
+        o = self._objects("graded-vpa")
+        spaces, d = o["space"], o["d"]
+        if not spaces or sorted(spaces) != [(r,) for r in range(len(spaces))]:
+            raise ValueError("graded-vpa needs consecutive degrees from 0")
+        if sorted(d) != [(r,) for r in range(len(spaces) - 1)]:
+            raise ValueError("graded-vpa needs d at every degree below the top")
+        return GradedVpaView(
+            spaces=tuple(spaces[(r,)] for r in range(len(spaces))), unit=o["unit"],
+            d=tuple(d[(r,)] for r in range(len(d))), mult=o["mult"], prod=o["prod"],
+        )
+
+    def _objects(self, kind: str) -> dict:
+        """After checking the file holds a ``kind``, key -> what it binds (the
+        unit Vector, or the named space, map or product), as {degrees:
+        object} for a key with degree indices."""
+        if self.kind != kind:
+            raise ValueError("file holds a %r structure, not %s" % (self.kind, kind))
+        out = {}
+        for key, (n, table, _) in SCHEMA[kind].items():
+            objs = {
+                degs: v if table is None else getattr(self, table)[v]
+                for degs, v in self.bindings.get(key, {}).items()
+            }
+            out[key] = objs if n else objs[()]
+        return out
 
 
 def _tokenize(text: str, line_no: int) -> list[tuple[str, int]]:
@@ -148,10 +209,57 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
         i += 1
 
 
+def _usage(key: str, n: int, table: str) -> str:
+    if n:
+        return "%s binding needs: %s %s %s" % (key, key, DEGREE_WORDS[n], TABLE_WORDS[table][1])
+    return "%s must name a %s" % (key, TABLE_WORDS[table][0])
+
+
+def _resolve_bindings(sf: StructureFile, lines: list, header: int) -> dict:
+    """Resolve each kept STRUCTURE line (tokens with their columns, line
+    number, column one past its end) once, into key -> {degrees: name}; the
+    unit is parsed last, into a Vector of the degree-0 space.  A missing
+    binding is reported at the STRUCTURE line, anything else at its token."""
+    schema = SCHEMA[sf.kind]
+    bindings: dict = {key: {} for key in schema}
+    for toks, line, end in lines:
+        key, key_col = toks[0]
+        if key not in schema:
+            raise ParseError("unknown %s binding %r" % (sf.kind, key), line, key_col)
+        n, table, _ = schema[key]
+        args = toks[1:] + [(None, end)]
+        for tok, col in args[:n]:
+            if tok is None or not tok.isdigit():
+                raise ParseError(_usage(key, n, table), line, col)
+        degs = tuple(int(tok) for tok, _ in args[:n])
+        if degs in bindings[key]:
+            raise ParseError("duplicate binding %r" % " ".join(tok for tok, _ in toks[:n + 1]), line, key_col)
+        if table is None:  # parsed below, once the spaces are bound
+            bindings[key][degs] = (args[:-1], line, end)
+        elif args[n][0] in getattr(sf, table) and args[n + 1][0] is None:
+            bindings[key][degs] = args[n][0]
+        else:  # report the first token that is not the one name wanted
+            bad = args[n] if args[n][0] not in getattr(sf, table) else args[n + 1]
+            raise ParseError(_usage(key, n, table), line, bad[1])
+    for key, (n, table, _) in schema.items():
+        if not n and not bindings[key]:
+            message = "missing unit binding" if table is None else "STRUCTURE %s needs a %r binding" % (sf.kind, key)
+            raise ParseError(message, header, 1)
+    if "unit" in schema:
+        key, degs = ("space", (0,)) if sf.kind == "graded-vpa" else ("algebra", ())
+        if degs not in bindings[key]:
+            raise ParseError("graded-vpa needs consecutive degrees from 0", header, 1)
+        args, line, end = bindings["unit"][()]
+        bindings["unit"][()] = _parse_expr(args, line, sf.spaces[bindings[key][degs]], end)
+    return bindings
+
+
 def parse(text: str) -> StructureFile:
     sf = StructureFile()
     section = None  # ("map", name, entries) | ("product", name, ...) | ("structure",)
     pending: dict = {}
+    binding_lines: list = []  # (tokens, line, end) of each STRUCTURE line
+    header = 0
 
     def close_section():
         nonlocal section, pending
@@ -190,11 +298,12 @@ def parse(text: str) -> StructureFile:
                     raise ParseError("META needs: META key value", line_no, 1)
                 sf.meta[raw_words[1]] = " ".join(raw_words[2:])
             else:
-                if len(raw_words) != 2 or raw_words[1] not in ("courant", "1tca", "graded-vpa"):
+                if len(raw_words) != 2 or raw_words[1] not in SCHEMA:
                     raise ParseError("STRUCTURE needs a kind: courant | 1tca | graded-vpa", line_no, 1)
                 if sf.kind:
                     raise ParseError("only one STRUCTURE section is allowed", line_no, 1)
                 sf.kind = raw_words[1]
+                header = line_no
                 section = ("structure",)
             continue
         toks = _tokenize(body, line_no)
@@ -282,137 +391,18 @@ def parse(text: str) -> StructureFile:
                 toks[6:], line_no, pending["codomain"], len(body) + 1
             )
         elif section and section[0] == "structure":
-            key = words[0]
-            sf.bindings.setdefault(key, []).append((words[1:], line_no))
+            binding_lines.append((toks, line_no, len(body) + 1))
         else:
             raise ParseError("unexpected line outside any section", line_no, col0)
     close_section()
     if not sf.kind:
         raise ParseError("missing STRUCTURE section", len(lines) or 1)
-    _validate_bindings(sf)
+    sf.bindings = _resolve_bindings(sf, binding_lines, header)
+    try:  # build the structure once, to check its shapes
+        {"courant": sf.courant, "1tca": sf.tca, "graded-vpa": sf.graded_view}[sf.kind]()
+    except ValueError as err:
+        raise ParseError(str(err), header, 1) from None
     return sf
-
-
-def _get1(sf: StructureFile, key: str, kinds: str):
-    vals = sf.bindings.get(key)
-    if not vals:
-        raise ParseError("STRUCTURE %s needs a %r binding" % (sf.kind, key), 1)
-    words, line = vals[0]
-    if len(vals) > 1:
-        raise ParseError("duplicate binding %r" % key, vals[1][1])
-    if kinds == "space":
-        if len(words) != 1 or words[0] not in sf.spaces:
-            raise ParseError("%s must name a SPACE" % key, line)
-        return sf.spaces[words[0]]
-    if kinds == "map":
-        if len(words) != 1 or words[0] not in sf.maps:
-            raise ParseError("%s must name a MAP" % key, line)
-        return sf.maps[words[0]]
-    if kinds == "product":
-        if len(words) != 1 or words[0] not in sf.products:
-            raise ParseError("%s must name a PRODUCT" % key, line)
-        return sf.products[words[0]]
-    raise AssertionError(kinds)
-
-
-def _validate_bindings(sf: StructureFile) -> None:
-    try:
-        if sf.kind == "courant":
-            sf.courant()
-        elif sf.kind == "1tca":
-            sf.tca()
-        else:
-            sf.graded_view()
-    except ParseError:
-        raise
-    except (ValueError, KeyError) as err:
-        raise ParseError(str(err), 1) from None
-
-
-def _unit_vector(sf: StructureFile, space: BasedSpace) -> Vector:
-    vals = sf.bindings.get("unit")
-    if not vals:
-        raise ParseError("missing unit binding", 1)
-    words, line = vals[0]
-    toks = [(w, 0) for w in words]
-    return _parse_expr(toks, line, space, 0)
-
-
-def _courant_parts(sf: StructureFile):
-    A = _get1(sf, "algebra", "space")
-    B = _get1(sf, "module", "space")
-    return (
-        A,
-        B,
-        _get1(sf, "mult", "product"),
-        _get1(sf, "action", "product"),
-        _get1(sf, "bracket", "product"),
-        _get1(sf, "anchor", "product"),
-        _get1(sf, "pairing", "product"),
-        _get1(sf, "partial", "map"),
-    )
-
-
-def _sf_courant(sf: StructureFile) -> CourantAlgebroid:
-    if sf.kind != "courant":
-        raise ValueError("file holds a %r structure, not courant" % sf.kind)
-    A, B, mult, action, bracket, anchor, pairing, partial = _courant_parts(sf)
-    unit = _unit_vector(sf, A)
-    return CourantAlgebroid(
-        A=UnitalCommAlgebra(A, mult, unit), B=B, action=action,
-        bracket=bracket, anchor=anchor, pairing=pairing, partial=partial,
-    )
-
-
-def _sf_tca(sf: StructureFile) -> OneTruncatedConformalAlgebra:
-    if sf.kind != "1tca":
-        raise ValueError("file holds a %r structure, not 1tca" % sf.kind)
-    return OneTruncatedConformalAlgebra(
-        C0=_get1(sf, "c0", "space"),
-        C1=_get1(sf, "c1", "space"),
-        partial=_get1(sf, "partial", "map"),
-        p0_10=_get1(sf, "p0_10", "product"),
-        p0_01=_get1(sf, "p0_01", "product"),
-        p0_11=_get1(sf, "p0_11", "product"),
-        p1_11=_get1(sf, "p1_11", "product"),
-    )
-
-
-def _sf_graded_view(sf: StructureFile) -> GradedVpaView:
-    if sf.kind != "graded-vpa":
-        raise ValueError("file holds a %r structure, not graded-vpa" % sf.kind)
-    spaces: dict[int, BasedSpace] = {}
-    for words, line in sf.bindings.get("space", []):
-        if len(words) != 2 or not words[0].isdigit() or words[1] not in sf.spaces:
-            raise ParseError("space binding needs: space DEGREE name", line)
-        spaces[int(words[0])] = sf.spaces[words[1]]
-    if not spaces or sorted(spaces) != list(range(max(spaces) + 1)):
-        raise ParseError("graded-vpa needs consecutive degrees from 0", 1)
-    cutoff = max(spaces)
-    d = {}
-    for words, line in sf.bindings.get("d", []):
-        if len(words) != 2 or not words[0].isdigit() or words[1] not in sf.maps:
-            raise ParseError("d binding needs: d DEGREE mapname", line)
-        d[int(words[0])] = sf.maps[words[1]]
-    if sorted(d) != list(range(cutoff)):
-        raise ParseError("graded-vpa needs d at every degree below the top", 1)
-    mult = {}
-    for words, line in sf.bindings.get("mult", []):
-        if len(words) != 3 or not (words[0].isdigit() and words[1].isdigit()) or words[2] not in sf.products:
-            raise ParseError("mult binding needs: mult P Q productname", line)
-        mult[(int(words[0]), int(words[1]))] = sf.products[words[2]]
-    prod = {}
-    for words, line in sf.bindings.get("prod", []):
-        if len(words) != 4 or not all(w.isdigit() for w in words[:3]) or words[3] not in sf.products:
-            raise ParseError("prod binding needs: prod N P Q productname", line)
-        prod[(int(words[0]), int(words[1]), int(words[2]))] = sf.products[words[3]]
-    return GradedVpaView(
-        spaces=tuple(spaces[i] for i in range(cutoff + 1)),
-        unit=_unit_vector(sf, spaces[0]),
-        d=tuple(d[i] for i in range(cutoff)),
-        mult=mult,
-        prod=prod,
-    )
 
 
 # -- canonical printing -------------------------------------------------------
@@ -431,10 +421,6 @@ def _expr_str(v: Vector) -> str:
         else:
             parts.append(("+ " if c > 0 else "- ") + body)
     return " ".join(parts)
-
-
-def _expr_tokens(v: Vector) -> list[str]:
-    return [t for t, _ in _tokenize(_expr_str(v), 0)]
 
 
 def print_file(sf: StructureFile) -> str:
@@ -462,12 +448,9 @@ def print_file(sf: StructureFile) -> str:
                     out.append("  (%s,%s) -> %s" % (l1, l2, _expr_str(v)))
     out.append("")
     out.append("STRUCTURE %s" % sf.kind)
-    order = {"courant": COURANT_FIELDS, "1tca": TCA_FIELDS}.get(
-        sf.kind, ("space", "unit", "d", "mult", "prod")
-    )
-    for key in order:
-        for words, _ in sf.bindings.get(key, []):
-            out.append("  %s %s" % (key, " ".join(words)))
+    for key, (_, table, _) in SCHEMA[sf.kind].items():
+        for degs, v in sf.bindings.get(key, {}).items():
+            out.append("  %s" % " ".join([key, *map(str, degs), v if table else _expr_str(v)]))
     out.append("")
     return "\n".join(out)
 
@@ -475,94 +458,54 @@ def print_file(sf: StructureFile) -> str:
 # -- writers from live objects ------------------------------------------------
 
 
-def courant_to_file(X: CourantAlgebroid, meta: dict | None = None) -> StructureFile:
-    sf = StructureFile(meta=dict(meta or {}))
-    sf.spaces[X.A.space.name] = X.A.space
-    sf.spaces[X.B.name] = X.B
-    sf.maps["del"] = X.partial
-    sf.products["mul"] = X.A.mult
-    sf.products["act"] = X.action
-    sf.products["brk"] = X.bracket
-    sf.products["anc"] = X.anchor
-    sf.products["pair"] = X.pairing
-    sf.kind = "courant"
-    sf.bindings = {
-        "algebra": [([X.A.space.name], 0)],
-        "unit": [(_expr_tokens(X.A.unit), 0)],
-        "mult": [(["mul"], 0)],
-        "module": [([X.B.name], 0)],
-        "action": [(["act"], 0)],
-        "bracket": [(["brk"], 0)],
-        "anchor": [(["anc"], 0)],
-        "pairing": [(["pair"], 0)],
-        "partial": [(["del"], 0)],
-    }
+def _to_file(kind: str, parts: dict, meta: dict | None) -> StructureFile:
+    """A file binding ``parts`` (key -> what it binds, as {degrees: object}
+    for a key with degree indices) under SCHEMA's names."""
+    sf = StructureFile(meta=dict(meta or {}), kind=kind)
+    for key, (n, table, pattern) in SCHEMA[kind].items():
+        bound = sf.bindings[key] = {}
+        for degs, obj in (parts[key] if n else {(): parts[key]}).items():
+            if table:
+                name = obj.name if table == "spaces" else pattern % degs
+                getattr(sf, table)[name] = obj
+            bound[degs] = name if table else obj
     return sf
+
+
+def courant_to_file(X: CourantAlgebroid, meta: dict | None = None) -> StructureFile:
+    return _to_file("courant", dict(
+        algebra=X.A.space, unit=X.A.unit, mult=X.A.mult, module=X.B, action=X.action,
+        bracket=X.bracket, anchor=X.anchor, pairing=X.pairing, partial=X.partial,
+    ), meta)
 
 
 def tca_to_file(T: OneTruncatedConformalAlgebra, meta: dict | None = None) -> StructureFile:
-    sf = StructureFile(meta=dict(meta or {}))
-    sf.spaces[T.C0.name] = T.C0
-    sf.spaces[T.C1.name] = T.C1
-    sf.maps["del"] = T.partial
-    sf.products["p0_10"] = T.p0_10
-    sf.products["p0_01"] = T.p0_01
-    sf.products["p0_11"] = T.p0_11
-    sf.products["p1_11"] = T.p1_11
-    sf.kind = "1tca"
-    sf.bindings = {
-        "c0": [([T.C0.name], 0)],
-        "c1": [([T.C1.name], 0)],
-        "partial": [(["del"], 0)],
-        "p0_10": [(["p0_10"], 0)],
-        "p0_01": [(["p0_01"], 0)],
-        "p0_11": [(["p0_11"], 0)],
-        "p1_11": [(["p1_11"], 0)],
-    }
-    return sf
+    return _to_file("1tca", dict(
+        c0=T.C0, c1=T.C1, partial=T.partial,
+        p0_10=T.p0_10, p0_01=T.p0_01, p0_11=T.p0_11, p1_11=T.p1_11,
+    ), meta)
 
 
 def view_to_file(V: GradedVpaView, meta: dict | None = None) -> StructureFile:
-    sf = StructureFile(meta=dict(meta or {}))
-    names = {}
+    spaces: list[BasedSpace] = []
     for deg, space in enumerate(V.spaces):
-        name = space.name if space.name not in sf.spaces else "%s_deg%d" % (space.name, deg)
-        if name != space.name:
-            space = BasedSpace(name, space.basis)
-        names[deg] = name
-        sf.spaces[name] = space
-
-    def respace(deg):
-        return sf.spaces[names[deg]]
+        if any(s.name == space.name for s in spaces):
+            space = BasedSpace("%s_deg%d" % (space.name, deg), space.basis)
+        spaces.append(space)
 
     def remap_vec(v: Vector, deg: int) -> Vector:
-        space = respace(deg)
+        space = spaces[deg]
         return v if v.space == space else Vector(space, dict(v.items))
 
-    sf.kind = "graded-vpa"
-    sf.bindings = {"space": [([str(d), names[d]], 0) for d in range(len(V.spaces))]}
-    sf.bindings["unit"] = [(_expr_tokens(V.unit), 0)]
-    sf.bindings["d"] = []
-    for r, m in enumerate(V.d):
-        nm = "d%d" % r
-        sf.maps[nm] = LinearMap(respace(r), respace(r + 1), [remap_vec(c, r + 1) for c in m.columns])
-        sf.bindings["d"].append(([str(r), nm], 0))
-    sf.bindings["mult"] = []
-    for (p, q) in sorted(V.mult):
-        nm = "m_%d_%d" % (p, q)
-        b = V.mult[(p, q)]
-        sf.products[nm] = BilinearMap(
-            respace(p), respace(q), respace(p + q),
-            [[remap_vec(v, p + q) for v in row] for row in b.table],
-        )
-        sf.bindings["mult"].append(([str(p), str(q), nm], 0))
-    sf.bindings["prod"] = []
-    for (n, p, q) in sorted(V.prod):
-        nm = "p_%d_%d_%d" % (n, p, q)
-        b = V.prod[(n, p, q)]
-        sf.products[nm] = BilinearMap(
-            respace(p), respace(q), respace(p + q - n - 1),
-            [[remap_vec(v, p + q - n - 1) for v in row] for row in b.table],
-        )
-        sf.bindings["prod"].append(([str(n), str(p), str(q), nm], 0))
-    return sf
+    def remap(b: BilinearMap, p: int, q: int, target: int) -> BilinearMap:
+        return BilinearMap(spaces[p], spaces[q], spaces[target],
+                           [[remap_vec(v, target) for v in row] for row in b.table])
+
+    return _to_file("graded-vpa", {
+        "space": {(deg,): space for deg, space in enumerate(spaces)},
+        "unit": remap_vec(V.unit, 0),
+        "d": {(r,): LinearMap(spaces[r], spaces[r + 1], [remap_vec(c, r + 1) for c in m.columns])
+              for r, m in enumerate(V.d)},
+        "mult": {(p, q): remap(V.mult[(p, q)], p, q, p + q) for (p, q) in sorted(V.mult)},
+        "prod": {(n, p, q): remap(V.prod[(n, p, q)], p, q, p + q - n - 1) for (n, p, q) in sorted(V.prod)},
+    }, meta)

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from courant_vpa.courant import check_courant, to_1tca
@@ -82,6 +84,116 @@ def test_malformed_entry_errors_are_pinned(case):
     with pytest.raises(ParseError) as err:
         parse(MINIMAL.replace(old, new, 1))
     assert (err.value.message, err.value.line, err.value.col) == want
+
+
+VIEW = """
+SPACE A e
+SPACE B u
+MAP d0 A B
+PRODUCT m_0_0 A A A symmetric
+  (e,e) -> e
+PRODUCT m_0_1 A B B
+  (e,u) -> u
+PRODUCT p_0_1_1 B B B
+PRODUCT p_1_1_1 B B A symmetric
+PRODUCT p_0_1_0 B A A
+STRUCTURE graded-vpa
+  space 0 A
+  space 1 B
+  unit e
+  d 0 d0
+  mult 0 0 m_0_0
+  mult 0 1 m_0_1
+  prod 0 1 1 p_0_1_1
+  prod 1 1 1 p_1_1_1
+  prod 0 1 0 p_0_1_0
+"""
+
+
+# (file, line replaced in it, its replacement, the ParseError's (message, line, col)).
+# Structure-level errors fall on the STRUCTURE line (MINIMAL 12, VIEW 12).
+MALFORMED_BINDINGS = {
+    "unit with a dangling plus": (MINIMAL, "unit e", "unit e +", ("expected a term", 14, 11)),
+    "unit label not in the algebra": (MINIMAL, "unit e", "unit f", ("label 'f' is not in space 'A'", 14, 8)),
+    "name after the name": (MINIMAL, "pairing pair", "pairing pair extra", ("pairing must name a PRODUCT", 20, 16)),
+    "map where a product is needed": (MINIMAL, "action act", "action del", ("action must name a PRODUCT", 17, 10)),
+    "key without a name": (MINIMAL, "action act", "action", ("action must name a PRODUCT", 17, 9)),
+    "undefined space": (MINIMAL, "algebra A", "algebra Z", ("algebra must name a SPACE", 13, 11)),
+    "unknown key": (MINIMAL, "anchor anc", "anchor anc\n  anchr anc", ("unknown courant binding 'anchr'", 20, 3)),
+    "second unit": (MINIMAL, "unit e", "unit e\n  unit 2*e", ("duplicate binding 'unit'", 15, 3)),
+    "second module": (MINIMAL, "module B", "module B\n  module B", ("duplicate binding 'module'", 17, 3)),
+    "missing binding": (MINIMAL, "  anchor anc\n", "", ("STRUCTURE courant needs a 'anchor' binding", 12, 1)),
+    "missing unit": (MINIMAL, "  unit e\n", "", ("missing unit binding", 12, 1)),
+    "wrong shape": (MINIMAL, "action act", "action mul", ("action has wrong spaces", 12, 1)),
+    "repeated degrees": (
+        VIEW, "mult 0 0 m_0_0", "mult 0 0 m_0_0\n  mult 0 0 m_0_0", ("duplicate binding 'mult 0 0'", 18, 3)
+    ),
+    "gap in the degrees": (VIEW, "space 1 B", "space 2 B", ("graded-vpa needs consecutive degrees from 0", 12, 1)),
+    "no degree 0": (VIEW, "  space 0 A\n", "", ("graded-vpa needs consecutive degrees from 0", 12, 1)),
+    "missing d": (VIEW, "  d 0 d0\n", "", ("graded-vpa needs d at every degree below the top", 12, 1)),
+    "degree not a number": (VIEW, "space 0 A", "space x A", ("space binding needs: space DEGREE name", 13, 9)),
+    "degree a fraction": (VIEW, "space 0 A", "space 1/2 A", ("space binding needs: space DEGREE name", 13, 9)),
+    "degree without a name": (VIEW, "space 0 A", "space 0", ("space binding needs: space DEGREE name", 13, 10)),
+    "too few degrees": (
+        VIEW, "prod 0 1 1 p_0_1_1", "prod 0 1 p_0_1_1", ("prod binding needs: prod N P Q productname", 19, 12)
+    ),
+    "map where a graded product is needed": (
+        VIEW, "mult 0 0 m_0_0", "mult 0 0 d0", ("mult binding needs: mult P Q productname", 17, 12)
+    ),
+    "name after the graded name": (VIEW, "d 0 d0", "d 0 d0 d0", ("d binding needs: d DEGREE mapname", 16, 10)),
+    "view unit not in degree 0": (VIEW, "unit e", "unit u", ("label 'u' is not in space 'A'", 15, 8)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_BINDINGS))
+def test_malformed_binding_errors_are_pinned(case):
+    text, old, new, want = MALFORMED_BINDINGS[case]
+    sf = parse(text)  # the unedited file is a valid algebroid or view
+    assert check_courant(extract_courant(sf.graded_view()) if text is VIEW else sf.courant()).passed
+    assert old in text
+    with pytest.raises(ParseError) as err:
+        parse(text.replace(old, new, 1))
+    assert (err.value.message, err.value.line, err.value.col) == want
+
+
+# f.f = 2f, so the unit is 1/2 f: a unit that is not a single basis vector
+HALF_UNIT = """SPACE A f
+SPACE B u
+
+MAP del A B
+
+PRODUCT mul A A A symmetric
+  (f,f) -> 2*f
+
+PRODUCT act A B B
+  (f,u) -> 2*u
+
+PRODUCT brk B B B
+
+PRODUCT anc B A A
+
+PRODUCT pair B B A symmetric
+
+STRUCTURE courant
+  algebra A
+  unit 1/2*f
+  mult mul
+  module B
+  action act
+  bracket brk
+  anchor anc
+  pairing pair
+  partial del
+"""
+
+
+def test_unit_prints_as_an_expression():
+    sf = parse(HALF_UNIT)
+    X = sf.courant()
+    assert check_courant(X).passed
+    assert X.A.unit == X.A.space.unit_vector("f").scale(Fraction(1, 2))
+    assert print_file(sf) == HALF_UNIT
+    assert print_file(courant_to_file(X)) == HALF_UNIT
 
 
 def test_repeated_space_label_is_positioned_error():
