@@ -5,6 +5,12 @@ operator-valued codomains never need representing; that each pi(u) is a
 derivation of A is then an explicit checked identity.  All checkers
 enumerate basis tuples only; bilinearity extends every verified identity
 to the whole space.
+
+They read the tables by basis index.  A bilinear map with one argument a
+basis vector is the linear map given by that row (or column) of its
+table: b(e_i, e_j) is table[i][j] and b(e_i, x) is lin_comb(table[i], x,
+zero).  Shapes were checked at construction, so this equals bilin_apply
+exactly with no space check.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from .linalg import (
     Vector,
     bilin_apply,
     format_vector,
+    lin_comb,
     map_apply,
     solve_linear,
 )
@@ -106,8 +113,20 @@ def differing_tables(X: CourantAlgebroid, Y: CourantAlgebroid) -> dict[str, tupl
     return {name: pair for name, pair in tables.items() if pair[0] != pair[1]}
 
 
-def _labelled(space: BasedSpace, prefix: str):
-    return [(prefix + "=" + l, space.unit_vector(l)) for l in space.basis]
+def _columns(b: BilinearMap) -> list[list[Vector]]:
+    """Column j of b's table, b(., e_j) on the left basis, for every j."""
+    return [[row[j] for row in b.table] for j in range(b.right.dim)]
+
+
+def _first(parts, limit: int | None) -> CheckReport:
+    """The violations of the generators ``parts`` in turn, up to ``limit``."""
+    found = []
+    for part in parts:
+        for v in part:
+            found.append(v)
+            if limit is not None and len(found) >= limit:
+                return CheckReport(found)
+    return CheckReport(found)
 
 
 def check_courant(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
@@ -128,124 +147,118 @@ def check_courant(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
     mutation-sensitivity scans, where one is enough).
     """
     fmt = format_vector
-    A = X.A
-    azs = _labelled(A.space, "a")
-    bzs = _labelled(X.B, "u")
-    e = A.unit
-    # products of basis pairs, read by the algebra and module laws
-    mul = {(la, lb): X.mul(a, b) for la, a in azs for lb, b in azs}
+    la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
+    ra, rb = range(len(la)), range(len(lu))
+    avec, bvec = X.A.space.basis_vectors(), X.B.basis_vectors()
+    e, zA, zB = X.A.unit, X.A.space.zero(), X.B.zero()
+    M, Act, Brk, Anc, Pair = (t.table for t in (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
+    Mc, Actc, Brkc, Ancc, Pairc = map(_columns, (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
+    D = X.partial.columns
 
     def alg_part():
-        for la, a in azs:
-            lhs = X.mul(e, a)
-            if lhs != a:
-                yield Violation(MODULE, "A.unit", (la,), fmt(lhs), fmt(a))
-            for lb, b in azs:
-                ab, ba = mul[la, lb], mul[lb, la]
+        for i in ra:
+            lhs = lin_comb(Mc[i], e, zA)
+            if lhs != avec[i]:
+                yield Violation(MODULE, "A.unit", (la[i],), fmt(lhs), fmt(avec[i]))
+            for j in ra:
+                ab, ba = M[i][j], M[j][i]
                 if ab != ba:
-                    yield Violation(MODULE, "A.comm", (la, lb), fmt(ab), fmt(ba))
-                for lc, c in azs:
-                    lhs = X.mul(ab, c)
-                    rhs = X.mul(a, mul[lb, lc])
+                    yield Violation(MODULE, "A.comm", (la[i], la[j]), fmt(ab), fmt(ba))
+                for k in ra:
+                    lhs = lin_comb(Mc[k], ab, zA)
+                    rhs = lin_comb(M[i], M[j][k], zA)
                     if lhs != rhs:
-                        yield Violation(MODULE, "A.assoc", (la, lb, lc), fmt(lhs), fmt(rhs))
-                lhs = X.d(ab)
-                rhs = X.act(a, X.d(b)) + X.act(b, X.d(a))
+                        yield Violation(MODULE, "A.assoc", (la[i], la[j], la[k]), fmt(lhs), fmt(rhs))
+                lhs = lin_comb(D, ab, zB)
+                rhs = lin_comb(Act[i], D[j], zB) + lin_comb(Act[j], D[i], zB)
                 if lhs != rhs:
-                    yield Violation(MODULE, "partial.der", (la, lb), fmt(lhs), fmt(rhs))
+                    yield Violation(MODULE, "partial.der", (la[i], la[j]), fmt(lhs), fmt(rhs))
 
     def module_part():
-        for lu, u in bzs:
-            lhs = X.act(e, u)
-            if lhs != u:
-                yield Violation(MODULE, "mod.unit", (lu,), fmt(lhs), fmt(u))
-            for la, a in azs:
-                for lb, b in azs:
-                    ab = mul[la, lb]
-                    lhs = X.act(ab, u)
-                    rhs = X.act(a, X.act(b, u))
+        for p in rb:
+            lhs = lin_comb(Actc[p], e, zB)
+            if lhs != bvec[p]:
+                yield Violation(MODULE, "mod.unit", (lu[p],), fmt(lhs), fmt(bvec[p]))
+            for i in ra:
+                for j in ra:
+                    ab = M[i][j]
+                    lhs = lin_comb(Actc[p], ab, zB)
+                    rhs = lin_comb(Act[i], Act[j][p], zB)
                     if lhs != rhs:
-                        yield Violation(MODULE, "mod.assoc", (la, lb, lu), fmt(lhs), fmt(rhs))
-                    lhs = X.anc(u, ab)
-                    rhs = X.mul(a, X.anc(u, b)) + X.mul(X.anc(u, a), b)
+                        yield Violation(MODULE, "mod.assoc", (la[i], la[j], lu[p]), fmt(lhs), fmt(rhs))
+                    lhs = lin_comb(Anc[p], ab, zA)
+                    rhs = lin_comb(M[i], Anc[p][j], zA) + lin_comb(Mc[j], Anc[p][i], zA)
                     if lhs != rhs:
-                        yield Violation(MODULE, "anchor.der", (lu, la, lb), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "anchor.der", (lu[p], la[i], la[j]), fmt(lhs), fmt(rhs))
 
     def pairing_part():
-        for lu, u in bzs:
-            for lv, v in bzs:
-                if X.pair(u, v) != X.pair(v, u):
-                    yield Violation(MODULE, "pair.sym", (lu, lv), fmt(X.pair(u, v)), fmt(X.pair(v, u)))
-                for la, a in azs:
-                    lhs = X.pair(X.act(a, u), v)
-                    rhs = X.mul(a, X.pair(u, v))
+        for p in rb:
+            for q in rb:
+                if Pair[p][q] != Pair[q][p]:
+                    yield Violation(MODULE, "pair.sym", (lu[p], lu[q]), fmt(Pair[p][q]), fmt(Pair[q][p]))
+                for i in ra:
+                    lhs = lin_comb(Pairc[q], Act[i][p], zA)
+                    rhs = lin_comb(M[i], Pair[p][q], zA)
                     if lhs != rhs:
-                        yield Violation(MODULE, "pair.alin", (la, lu, lv), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "pair.alin", (la[i], lu[p], lu[q]), fmt(lhs), fmt(rhs))
 
     def bracket_part():
-        for lu, u in bzs:
-            for lv, v in bzs:
-                for lw, w in bzs:
-                    lhs = X.brk(u, X.brk(v, w))
-                    rhs = X.brk(X.brk(u, v), w) + X.brk(v, X.brk(u, w))
+        for p in rb:
+            for q in rb:
+                for r in rb:
+                    lhs = lin_comb(Brk[p], Brk[q][r], zB)
+                    rhs = lin_comb(Brkc[r], Brk[p][q], zB) + lin_comb(Brk[q], Brk[p][r], zB)
                     if lhs != rhs:
-                        yield Violation(MODULE, "leibniz", (lu, lv, lw), fmt(lhs), fmt(rhs))
-                    lhs = X.pair(X.brk(u, v), w) + X.pair(v, X.brk(u, w))
-                    rhs = X.anc(u, X.pair(v, w))
+                        yield Violation(MODULE, "leibniz", (lu[p], lu[q], lu[r]), fmt(lhs), fmt(rhs))
+                    lhs = lin_comb(Pairc[r], Brk[p][q], zA) + lin_comb(Pair[q], Brk[p][r], zA)
+                    rhs = lin_comb(Anc[p], Pair[q][r], zA)
                     if lhs != rhs:
-                        yield Violation(MODULE, "c2", (lu, lv, lw), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "c2", (lu[p], lu[q], lu[r]), fmt(lhs), fmt(rhs))
 
     def anchor_part():
-        for lu, u in bzs:
-            for lv, v in bzs:
-                for la, a in azs:
-                    lhs = X.anc(X.brk(u, v), a)
-                    rhs = X.anc(u, X.anc(v, a)) - X.anc(v, X.anc(u, a))
+        for p in rb:
+            for q in rb:
+                for i in ra:
+                    lhs = lin_comb(Ancc[i], Brk[p][q], zA)
+                    rhs = lin_comb(Anc[p], Anc[q][i], zA) - lin_comb(Anc[q], Anc[p][i], zA)
                     if lhs != rhs:
-                        yield Violation(MODULE, "anchor.hom", (lu, lv, la), fmt(lhs), fmt(rhs))
-            for la, a in azs:
-                for lb, b in azs:
-                    lhs = X.anc(X.act(a, u), b)
-                    rhs = X.mul(a, X.anc(u, b))
+                        yield Violation(MODULE, "anchor.hom", (lu[p], lu[q], la[i]), fmt(lhs), fmt(rhs))
+            for i in ra:
+                for j in ra:
+                    lhs = lin_comb(Ancc[j], Act[i][p], zA)
+                    rhs = lin_comb(M[i], Anc[p][j], zA)
                     if lhs != rhs:
-                        yield Violation(MODULE, "anchor.alin", (la, lu, lb), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "anchor.alin", (la[i], lu[p], la[j]), fmt(lhs), fmt(rhs))
 
     def coupling_part():
-        for lu, u in bzs:
-            for la, a in azs:
-                pa = X.d(a)
-                for lv, v in bzs:
-                    lhs = X.brk(u, X.act(a, v))
-                    rhs = X.act(a, X.brk(u, v)) + X.act(X.anc(u, a), v)
+        for p in rb:
+            for i in ra:
+                for q in rb:
+                    lhs = lin_comb(Brk[p], Act[i][q], zB)
+                    rhs = lin_comb(Act[i], Brk[p][q], zB) + lin_comb(Actc[q], Anc[p][i], zB)
                     if lhs != rhs:
-                        yield Violation(MODULE, "c1", (lu, la, lv), fmt(lhs), fmt(rhs))
-                lhs = X.brk(u, pa)
-                rhs = X.d(X.anc(u, a))
+                        yield Violation(MODULE, "c1", (lu[p], la[i], lu[q]), fmt(lhs), fmt(rhs))
+                lhs = lin_comb(Brk[p], D[i], zB)
+                rhs = lin_comb(D, Anc[p][i], zB)
                 if lhs != rhs:
-                    yield Violation(MODULE, "c3", (lu, la), fmt(lhs), fmt(rhs))
-                lhs = X.pair(u, pa)
-                rhs = X.anc(u, a)
+                    yield Violation(MODULE, "c3", (lu[p], la[i]), fmt(lhs), fmt(rhs))
+                lhs = lin_comb(Pair[p], D[i], zA)
+                rhs = Anc[p][i]
                 if lhs != rhs:
-                    yield Violation(MODULE, "c4", (lu, la), fmt(lhs), fmt(rhs))
-            for lv, v in bzs:
-                lhs = X.brk(u, v) + X.brk(v, u)
-                rhs = X.d(X.pair(u, v))
+                    yield Violation(MODULE, "c4", (lu[p], la[i]), fmt(lhs), fmt(rhs))
+            for q in rb:
+                lhs = Brk[p][q] + Brk[q][p]
+                rhs = lin_comb(D, Pair[p][q], zB)
                 if lhs != rhs:
-                    yield Violation(MODULE, "c5", (lu, lv), fmt(lhs), fmt(rhs))
-        for la, a in azs:
-            pa = X.d(a)
-            for lb, b in azs:
-                lhs = X.anc(pa, b)
+                    yield Violation(MODULE, "c5", (lu[p], lu[q]), fmt(lhs), fmt(rhs))
+        for i in ra:
+            for j in ra:
+                lhs = lin_comb(Ancc[j], D[i], zA)
                 if not lhs.is_zero():
-                    yield Violation(MODULE, "pi.partial", (la, lb), fmt(lhs), "0")
+                    yield Violation(MODULE, "pi.partial", (la[i], la[j]), fmt(lhs), "0")
 
-    found = []
-    for part in (alg_part, module_part, pairing_part, bracket_part, anchor_part, coupling_part):
-        for v in part():
-            found.append(v)
-            if limit is not None and len(found) >= limit:
-                return CheckReport(found)
-    return CheckReport(found)
+    parts = (alg_part, module_part, pairing_part, bracket_part, anchor_part, coupling_part)
+    return _first((part() for part in parts), limit)
 
 
 def check_annihilation(X: CourantAlgebroid) -> CheckReport:
@@ -254,28 +267,29 @@ def check_annihilation(X: CourantAlgebroid) -> CheckReport:
     check_courant signals an internal error, not bad input."""
     fmt = format_vector
     out = []
-    azs = _labelled(X.A.space, "a")
-    bzs = _labelled(X.B, "u")
-    for la, a in azs:
-        pa = X.d(a)
-        for lu, u in bzs:
-            lhs = X.brk(pa, u)
+    la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
+    zA, zB = X.A.space.zero(), X.B.zero()
+    Brk, Anc, D = X.bracket.table, X.anchor.table, X.partial.columns
+    Brkc, Ancc = _columns(X.bracket), _columns(X.anchor)
+    for i in range(len(la)):
+        for p in range(len(lu)):
+            lhs = lin_comb(Brkc[p], D[i], zB)
             if not lhs.is_zero():
-                out.append(Violation(MODULE, "annih.bracket", (la, lu), fmt(lhs), "0"))
-            lhs = X.d(X.anc(u, a))
-            rhs = X.brk(u, pa)
+                out.append(Violation(MODULE, "annih.bracket", (la[i], lu[p]), fmt(lhs), "0"))
+            lhs = lin_comb(D, Anc[p][i], zB)
+            rhs = lin_comb(Brk[p], D[i], zB)
             if lhs != rhs:
-                out.append(Violation(MODULE, "annih.phom", (lu, la), fmt(lhs), fmt(rhs)))
-        for lb, b in azs:
-            lhs = X.anc(pa, b)
+                out.append(Violation(MODULE, "annih.phom", (lu[p], la[i]), fmt(lhs), fmt(rhs)))
+        for j in range(len(la)):
+            lhs = lin_comb(Ancc[j], D[i], zA)
             if not lhs.is_zero():
-                out.append(Violation(MODULE, "annih.anchor", (la, lb), fmt(lhs), "0"))
+                out.append(Violation(MODULE, "annih.anchor", (la[i], la[j]), fmt(lhs), "0"))
     return CheckReport(out)
 
 
 def check_compat(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
     """The bridge compatibilities linking the A-module structure with the
-    i-th products, plus u_0 e = 0:
+    i-th products, plus u_0 e = 0, stopping after ``limit`` violations:
 
         (au)_0 a' = a (u_0 a')
         (au)_1 v = a (u_1 v) = u_1 (av)
@@ -283,40 +297,42 @@ def check_compat(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
         u_0 (aa') = a (u_0 a') + (u_0 a) a'
     """
     fmt = format_vector
-    out = []
-    azs = _labelled(X.A.space, "a")
-    bzs = _labelled(X.B, "u")
-    e = X.A.unit
-    for lu, u in bzs:
-        if limit is not None and len(out) >= limit:
-            break
-        lhs = X.anc(u, e)
-        if not lhs.is_zero():
-            out.append(Violation(MODULE, "compat.u0e", (lu,), fmt(lhs), "0"))
-        for la, a in azs:
-            au = X.act(a, u)
-            for lb, b in azs:
-                lhs = X.anc(au, b)
-                rhs = X.mul(a, X.anc(u, b))
-                if lhs != rhs:
-                    out.append(Violation(MODULE, "compat.dera1", (la, lu, lb), fmt(lhs), fmt(rhs)))
-                lhs = X.anc(u, X.mul(a, b))
-                rhs = X.mul(a, X.anc(u, b)) + X.mul(X.anc(u, a), b)
-                if lhs != rhs:
-                    out.append(Violation(MODULE, "compat.dec", (lu, la, lb), fmt(lhs), fmt(rhs)))
-            for lv, v in bzs:
-                lhs = X.pair(au, v)
-                rhs = X.mul(a, X.pair(u, v))
-                if lhs != rhs:
-                    out.append(Violation(MODULE, "compat.syma", (la, lu, lv), fmt(lhs), fmt(rhs)))
-                lhs = X.pair(u, X.act(a, v))
-                if lhs != rhs:
-                    out.append(Violation(MODULE, "compat.syma2", (lu, la, lv), fmt(lhs), fmt(rhs)))
-                lhs = X.brk(u, X.act(a, v))
-                rhs = X.act(a, X.brk(u, v)) + X.act(X.anc(u, a), v)
-                if lhs != rhs:
-                    out.append(Violation(MODULE, "compat.dera2", (lu, la, lv), fmt(lhs), fmt(rhs)))
-    return CheckReport(out)
+    la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
+    ra, rb = range(len(la)), range(len(lu))
+    e, zA, zB = X.A.unit, X.A.space.zero(), X.B.zero()
+    M, Act, Brk, Anc, Pair = (t.table for t in (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
+    Mc, Actc, Ancc, Pairc = map(_columns, (X.A.mult, X.action, X.anchor, X.pairing))
+
+    def part():
+        for p in rb:
+            lhs = lin_comb(Anc[p], e, zA)
+            if not lhs.is_zero():
+                yield Violation(MODULE, "compat.u0e", (lu[p],), fmt(lhs), "0")
+            for i in ra:
+                au = Act[i][p]
+                for j in ra:
+                    lhs = lin_comb(Ancc[j], au, zA)
+                    rhs = lin_comb(M[i], Anc[p][j], zA)
+                    if lhs != rhs:
+                        yield Violation(MODULE, "compat.dera1", (la[i], lu[p], la[j]), fmt(lhs), fmt(rhs))
+                    lhs = lin_comb(Anc[p], M[i][j], zA)
+                    rhs = rhs + lin_comb(Mc[j], Anc[p][i], zA)
+                    if lhs != rhs:
+                        yield Violation(MODULE, "compat.dec", (lu[p], la[i], la[j]), fmt(lhs), fmt(rhs))
+                for q in rb:
+                    lhs = lin_comb(Pairc[q], au, zA)
+                    rhs = lin_comb(M[i], Pair[p][q], zA)
+                    if lhs != rhs:
+                        yield Violation(MODULE, "compat.syma", (la[i], lu[p], lu[q]), fmt(lhs), fmt(rhs))
+                    lhs = lin_comb(Pair[p], Act[i][q], zA)
+                    if lhs != rhs:
+                        yield Violation(MODULE, "compat.syma2", (lu[p], la[i], lu[q]), fmt(lhs), fmt(rhs))
+                    lhs = lin_comb(Brk[p], Act[i][q], zB)
+                    rhs = lin_comb(Act[i], Brk[p][q], zB) + lin_comb(Actc[q], Anc[p][i], zB)
+                    if lhs != rhs:
+                        yield Violation(MODULE, "compat.dera2", (lu[p], la[i], lu[q]), fmt(lhs), fmt(rhs))
+
+    return _first([part()], limit)
 
 
 class StructureError(ValueError):

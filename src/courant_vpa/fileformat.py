@@ -281,7 +281,7 @@ def parse(text: str) -> StructureFile:
                     symmetric=pending["symmetric"], antisymmetric=pending["antisymmetric"],
                 )
             except ValueError as err:
-                raise ParseError(str(err), pending["line"]) from None
+                raise ParseError(str(err), pending["line"], pending["flag_col"]) from None
         section = None
         pending = {}
 
@@ -334,11 +334,10 @@ def parse(text: str) -> StructureFile:
                 raise ParseError("MAP needs: MAP name domain codomain", line_no, col0)
             _, name, dom, cod = words
             if name in sf.maps:
-                raise ParseError("map %r already defined" % name, line_no)
-            if dom not in sf.spaces:
-                raise ParseError("undefined space %r" % dom, line_no)
-            if cod not in sf.spaces:
-                raise ParseError("undefined space %r" % cod, line_no)
+                raise ParseError("map %r already defined" % name, line_no, toks[1][1])
+            for s, col in toks[2:]:
+                if s not in sf.spaces:
+                    raise ParseError("undefined space %r" % s, line_no, col)
             section = ("map",)
             pending = {"name": name, "domain": sf.spaces[dom], "codomain": sf.spaces[cod],
                        "entries": {}, "line": line_no}
@@ -351,19 +350,19 @@ def parse(text: str) -> StructureFile:
                 )
             name = words[1]
             if name in sf.products:
-                raise ParseError("product %r already defined" % name, line_no)
-            for s in words[2:5]:
+                raise ParseError("product %r already defined" % name, line_no, toks[1][1])
+            for s, col in toks[2:5]:
                 if s not in sf.spaces:
-                    raise ParseError("undefined space %r" % s, line_no)
-            flag = words[5] if len(words) == 6 else ""
+                    raise ParseError("undefined space %r" % s, line_no, col)
+            flag, flag_col = toks[5] if len(toks) == 6 else ("", col0)
             if flag not in ("", "symmetric", "antisymmetric"):
-                raise ParseError("unknown flag %r" % flag, line_no)
+                raise ParseError("unknown flag %r" % flag, line_no, flag_col)
             section = ("product",)
             pending = {
                 "name": name,
                 "left": sf.spaces[words[2]], "right": sf.spaces[words[3]],
                 "codomain": sf.spaces[words[4]],
-                "entries": {}, "line": line_no,
+                "entries": {}, "line": line_no, "flag_col": flag_col,
                 "symmetric": flag == "symmetric", "antisymmetric": flag == "antisymmetric",
             }
         elif section and section[0] == "map":

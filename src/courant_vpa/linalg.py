@@ -8,18 +8,20 @@ no floating point anywhere.
 
 The public ``Vector(space, coeffs)`` constructor coerces and range-checks
 its input.  Results of the kernel arithmetic (``bilin_apply``,
-``map_apply``, ``+``, ``-``, ``scale``, ``vec_combine``) are built by the
-private ``Vector._trusted``, which skips both checks: their indices come
-from vectors and tables that were validated when they were built, and
-their coefficients are products and sums of ``Fraction`` values.  A kernel
-result may also be one of its inputs or a stored vector itself: for
-example ``bilin_apply`` of two basis vectors returns ``table[i][j]``, and
-of a zero argument the map's own zero vector.  That sharing is safe
-because a Vector is never modified after construction: every operation
-returns a new Vector, so no caller can change a table through a value it
-was handed.  Spaces are compared by identity first and by name and basis
-only when they are distinct objects, so a separately built, value-equal
-space is still accepted.
+``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``, ``vec_combine``) are
+built by the private ``Vector._trusted``, which skips both checks: their
+indices come from vectors and tables that were validated when they were
+built, and their coefficients are products and sums of ``Fraction``
+values.  A kernel result may also be one of its inputs or a stored vector
+itself: for example ``bilin_apply`` of two basis vectors returns
+``table[i][j]``, and of a zero argument the map's own zero vector.  That
+sharing is safe because a Vector is never modified after construction:
+every operation returns a new Vector, so no caller can change a table
+through a value it was handed.  Spaces are compared by identity first and
+by name and basis only when they are distinct objects, so a separately
+built, value-equal space is still accepted.  ``lin_comb`` is the one
+combination loop: ``map_apply`` runs it after its space check, the Courant
+checkers on table rows and columns.
 
 ``Echelon``, the one exact row elimination (the quotient's relations,
 ``rank``, ``solve_linear``), stores each sparse row under its largest key
@@ -252,7 +254,7 @@ def vec_combine(terms: Iterable[tuple[object, Vector]]) -> Vector:
 class LinearMap:
     """Linear map given by its columns on the domain basis."""
 
-    __slots__ = ("domain", "codomain", "columns")
+    __slots__ = ("domain", "codomain", "columns", "_zero")
 
     def __init__(self, domain: BasedSpace, codomain: BasedSpace, columns: Iterable[Vector]):
         cols = tuple(columns)
@@ -266,6 +268,7 @@ class LinearMap:
         self.domain = domain
         self.codomain = codomain
         self.columns = cols
+        self._zero = Vector._trusted(codomain, {})
 
     @classmethod
     def zero(cls, domain: BasedSpace, codomain: BasedSpace) -> "LinearMap":
@@ -303,22 +306,30 @@ class LinearMap:
         return "LinearMap(%s -> %s)" % (self.domain.name, self.codomain.name)
 
 
+def lin_comb(vectors, x: Vector, zero: Vector) -> Vector:
+    """sum_k c_k * vectors[k] over the items (k, c_k) of x, in the space of
+    ``zero``, with no space check: ``zero`` for an empty x."""
+    items = x.items
+    if not items:
+        return zero
+    if len(items) == 1:
+        (k, c), = items
+        return vectors[k].scale(c)
+    out: dict[int, Scalar] = {}
+    for k, c in items:
+        for j, w in vectors[k].items:
+            y = c * w
+            t = out.get(j)
+            out[j] = y if t is None else t + y
+    return Vector._trusted(zero.space, out)
+
+
 def map_apply(m: LinearMap, v: Vector) -> Vector:
     if v.space is not m.domain and v.space != m.domain:
         raise SpaceMismatch(
             "map_apply: vector in %r, domain is %r" % (v.space.name, m.domain.name)
         )
-    items = v.items
-    if len(items) == 1:
-        (i, c), = items
-        return m.columns[i].scale(c)
-    out: dict[int, Scalar] = {}
-    for i, c in items:
-        for j, w in m.columns[i].items:
-            y = c * w
-            x = out.get(j)
-            out[j] = y if x is None else x + y
-    return Vector._trusted(m.codomain, out)
+    return lin_comb(m.columns, v, m._zero)
 
 
 class BilinearMap:

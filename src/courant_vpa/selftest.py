@@ -12,6 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .courant import (
+    CourantAlgebroid,
+    UnitalCommAlgebra,
     check_annihilation,
     check_compat,
     check_courant,
@@ -57,15 +59,10 @@ class CriterionResult:
         )
 
 
-def _mutations(X):
-    """Every single-entry +1 perturbation of every structure table."""
-    from .courant import CourantAlgebroid, UnitalCommAlgebra
-
-    def perturb(bmap, i, j, k):
-        rows = [list(r) for r in bmap.table]
-        rows[i][j] = rows[i][j] + Vector(bmap.codomain, {k: Fraction(1)})
-        return BilinearMap(bmap.left, bmap.right, bmap.codomain, rows)
-
+def _mutations(X, delta=1):
+    """Every single-entry perturbation by ``delta`` of every structure
+    table, as ``(label, mutant)``; the label names the table and the
+    entry's indices, as in ``bracket[0,1,2]`` or ``partial[0,1]``."""
     tables = {
         "mult": X.A.mult, "action": X.action, "bracket": X.bracket,
         "anchor": X.anchor, "pairing": X.pairing,
@@ -74,9 +71,10 @@ def _mutations(X):
         for i in range(t.left.dim):
             for j in range(t.right.dim):
                 for k in range(t.codomain.dim):
-                    new = dict(tables)
-                    new[tname] = perturb(t, i, j, k)
-                    yield CourantAlgebroid(
+                    rows = [list(r) for r in t.table]
+                    rows[i][j] = rows[i][j] + Vector(t.codomain, {k: Fraction(delta)})
+                    new = dict(tables, **{tname: BilinearMap(t.left, t.right, t.codomain, rows)})
+                    yield "%s[%d,%d,%d]" % (tname, i, j, k), CourantAlgebroid(
                         A=UnitalCommAlgebra(X.A.space, new["mult"], X.A.unit),
                         B=X.B, action=new["action"], bracket=new["bracket"],
                         anchor=new["anchor"], pairing=new["pairing"], partial=X.partial,
@@ -84,8 +82,8 @@ def _mutations(X):
     for col in range(X.A.space.dim):
         for k in range(X.B.dim):
             cols = list(X.partial.columns)
-            cols[col] = cols[col] + Vector(X.B, {k: Fraction(1)})
-            yield CourantAlgebroid(
+            cols[col] = cols[col] + Vector(X.B, {k: Fraction(delta)})
+            yield "partial[%d,%d]" % (col, k), CourantAlgebroid(
                 A=X.A, B=X.B, action=X.action, bracket=X.bracket, anchor=X.anchor,
                 pairing=X.pairing, partial=LinearMap(X.A.space, X.B, cols),
             )
@@ -110,7 +108,7 @@ def criterion_1() -> tuple[bool, str]:
     counts = {}
     for name in MUTATION_EXAMPLES:
         X = example(name)
-        caught = sum(1 for Y in _mutations(X) if _mutation_caught(Y))
+        caught = sum(1 for _, Y in _mutations(X) if _mutation_caught(Y))
         counts[name] = caught
         if caught < 20:
             return False, "only %d mutations caught for %s" % (caught, name)

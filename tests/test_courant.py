@@ -1,6 +1,7 @@
 import os
 from collections import Counter
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 
@@ -16,6 +17,7 @@ from courant_vpa.courant import (
 )
 from courant_vpa.examples import example
 from courant_vpa.linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply
+from courant_vpa.selftest import _mutations
 from courant_vpa.tca import OneTruncatedConformalAlgebra, check_all as check_tca_all
 
 PASSING = ["trivial(1)", "trivial(2)", "trivial(3)", "heisenberg",
@@ -151,50 +153,6 @@ def test_killing_table_matches_ad_trace_oracle():
     assert _trace_form(X, ef, ef) == 8
 
 
-def _tables(X):
-    return {
-        "mult": X.A.mult,
-        "action": X.action,
-        "bracket": X.bracket,
-        "anchor": X.anchor,
-        "pairing": X.pairing,
-    }
-
-
-def mutations(X):
-    """All single-entry +1 perturbations of every structure-constant table."""
-    out = []
-    for tname, t in _tables(X).items():
-        for i in range(t.left.dim):
-            for j in range(t.right.dim):
-                for k in range(t.codomain.dim):
-                    rebuilt = dict(_tables(X))
-                    rebuilt[tname] = perturb(t, i, j, k)
-                    out.append((
-                        "%s[%d,%d,%d]" % (tname, i, j, k),
-                        CourantAlgebroid(
-                            A=UnitalCommAlgebra(X.A.space, rebuilt["mult"], X.A.unit),
-                            B=X.B,
-                            action=rebuilt["action"],
-                            bracket=rebuilt["bracket"],
-                            anchor=rebuilt["anchor"],
-                            pairing=rebuilt["pairing"],
-                            partial=X.partial,
-                        ),
-                    ))
-    for col in range(X.A.space.dim):
-        for k in range(X.B.dim):
-            cols = list(X.partial.columns)
-            cols[col] = cols[col] + Vector(X.B, {k: Fraction(1)})
-            out.append((
-                "partial[%d,%d]" % (col, k),
-                CourantAlgebroid(A=X.A, B=X.B, action=X.action, bracket=X.bracket,
-                                 anchor=X.anchor, pairing=X.pairing,
-                                 partial=LinearMap(X.A.space, X.B, cols)),
-            ))
-    return out
-
-
 def caught(Y):
     if not check_courant(Y).passed:
         return True
@@ -203,31 +161,77 @@ def caught(Y):
     return not check_tca_all(to_1tca(Y, certify=False)).passed
 
 
-def _pinned_mutant_reports():
-    path = os.path.join(os.path.dirname(__file__), "data", "courant_mutant_reports.txt")
+def _pinned(filename):
+    path = os.path.join(os.path.dirname(__file__), "data", filename)
     with open(path, encoding="utf-8") as fh:
         return [line.split() for line in fh if not line.startswith("#")]
+
+
+def _report_line(name, label, Y, *checks):
+    # the axiom of the limit=1 first violation of check_courant, then the
+    # per-axiom counts of the full reports of check_courant and of checks
+    first = check_courant(Y, limit=1).violations
+    full = check_courant(Y).merge(*(check(Y) for check in checks))
+    counts = Counter(v.axiom for v in full.violations)
+    return [name, label, first[0].axiom if first else "-"] + ["%s=%d" % kv for kv in sorted(counts.items())]
 
 
 def test_mutant_reports_are_pinned():
     # per-axiom violation counts of the full report and the axiom of the
     # limit=1 first violation, for every mutant of two instances
-    pinned = _pinned_mutant_reports()
-    got = []
-    for name in ("exact(2)", "quadratic_lie(sl2)"):
-        for label, Y in mutations(example(name)):
-            full = check_courant(Y)
-            first = check_courant(Y, limit=1).violations
-            counts = Counter(v.axiom for v in full.violations)
-            got.append([name, label, first[0].axiom if first else "-"]
-                       + ["%s=%d" % kv for kv in sorted(counts.items())])
+    pinned = _pinned("courant_mutant_reports.txt")
+    got = [_report_line(name, label, Y)
+           for name in ("exact(2)", "quadratic_lie(sl2)")
+           for label, Y in _mutations(example(name))]
     assert len(pinned) == 44 + 52
     assert got == pinned
 
 
+def _wide_mutants():
+    """Every +1 mutant of exact(3) and trivial(3), every mutant of exact(2)
+    by 1/2 and by -2, and 22 exact(2) mutants with two entries changed:
+    the n-th entry by -2 and the (n + 17)-th of its 44 by 1/2, n even."""
+    for name in ("exact(3)", "trivial(3)"):
+        for label, Y in _mutations(example(name)):
+            yield name, label, Y
+    X = example("exact(2)")
+    for delta in (Fraction(1, 2), Fraction(-2)):
+        for label, Y in _mutations(X, delta):
+            yield "exact(2)", "%s*%s" % (label, delta), Y
+    for n, (label, Y) in enumerate(_mutations(X, -2)):
+        if n % 2 == 0:
+            label2, Z = next(islice(_mutations(Y, Fraction(1, 2)), (n + 17) % 44, None))
+            yield "exact(2)", "%s*-2&%s*1/2" % (label, label2), Z
+
+
+def test_wide_mutant_reports_are_pinned():
+    # as test_mutant_reports_are_pinned, with the counts of check_compat and
+    # check_annihilation added, over scaled and two-entry mutants too
+    pinned = _pinned("courant_mutant_reports_wide.txt")
+    got = [_report_line(name, label, Y, check_compat, check_annihilation)
+           for name, label, Y in _wide_mutants()]
+    assert len(pinned) == 235 + 52 + 88 + 22
+    assert got == pinned
+
+
+def test_check_compat_stops_at_limit():
+    # limit=k stops at the k-th violation found, each one of the full
+    # report's; several mutants have more than one
+    several = 0
+    for name in ("exact(2)", "exact(3)"):
+        for _, Y in _mutations(example(name)):
+            full = check_compat(Y).violations
+            several += len(full) > 1
+            for limit in (1, 3):
+                first = check_compat(Y, limit=limit).violations
+                assert len(first) == min(limit, len(full))
+                assert set(first) <= set(full)
+    assert several >= 10
+
+
 def test_mutation_sensitivity_sl2():
     X = example("quadratic_lie(sl2)")
-    missed = [name for name, Y in mutations(X) if not caught(Y)]
+    missed = [name for name, Y in _mutations(X) if not caught(Y)]
     assert not missed, missed
 
 
@@ -236,7 +240,7 @@ def test_mutation_sensitivity_trivial3_names_the_valid_survivors():
     # genuine Courant algebroid (everything else is zero), so exactly the
     # three diagonal pairing mutations survive; all 52 others are caught.
     X = example("trivial(3)")
-    results = {name: caught(Y) for name, Y in mutations(X)}
+    results = {name: caught(Y) for name, Y in _mutations(X)}
     survivors = sorted(name for name, ok in results.items() if not ok)
     assert survivors == ["pairing[0,0,0]", "pairing[1,1,0]", "pairing[2,2,0]"]
     assert sum(results.values()) >= 20
@@ -291,7 +295,7 @@ def test_forward_bridge_on_mutation_survivors():
     # the mutations that no checker catches are genuinely valid instances;
     # the bridge must hold on them too
     X = example("trivial(3)")
-    survivors = [Y for _, Y in mutations(X) if caught(Y) is False]
+    survivors = [Y for _, Y in _mutations(X) if caught(Y) is False]
     assert survivors  # the three diagonal pairing bumps
     for Y in survivors:
         assert check_courant(Y).passed

@@ -75,6 +75,19 @@ MALFORMED_ENTRIES = {
     "map entry without arrow": ("MAP del A B", "MAP del A B\n  e u", ("map entry needs: label -> expr", 12, 3)),
     "duplicate map entry": ("MAP del A B", "MAP del A B\n  e -> u\n  e -> u", ("duplicate entry for 'e'", 13, 3)),
     "map label not in domain": ("MAP del A B", "MAP del A B\n  u -> u", ("label 'u' not in domain", 12, 3)),
+    # a MAP or PRODUCT header, and a PRODUCT's flag once its table is read
+    "map defined twice": ("MAP del A B", "MAP del A B\nMAP del A B", ("map 'del' already defined", 12, 5)),
+    "map undefined domain": ("MAP del A B", "MAP del Z B", ("undefined space 'Z'", 11, 9)),
+    "map undefined codomain": ("MAP del A B", "MAP del A C", ("undefined space 'C'", 11, 11)),
+    "product defined twice": ("PRODUCT act A B B", "PRODUCT mul A B B", ("product 'mul' already defined", 6, 9)),
+    "product undefined space": ("PRODUCT brk B B B", "PRODUCT brk B Z B", ("undefined space 'Z'", 8, 15)),
+    "unknown flag": ("PRODUCT brk B B B", "PRODUCT brk B B B weird", ("unknown flag 'weird'", 8, 19)),
+    "antisymmetric flag on a non-antisymmetric table": (
+        "PRODUCT brk B B B", "PRODUCT brk B B B antisymmetric\n  (u,u) -> u",
+        ("antisymmetric flag set but table is not", 8, 19)),
+    "symmetric flag across two spaces": (
+        "PRODUCT anc B A A", "PRODUCT anc B A A symmetric",
+        ("symmetry flags need matching left/right spaces", 9, 19)),
 }
 
 

@@ -11,6 +11,7 @@ from courant_vpa.linalg import (
     SpaceMismatch,
     Vector,
     bilin_apply,
+    lin_comb,
     map_apply,
     rank,
     scalar_from_str,
@@ -203,6 +204,18 @@ def test_bilin_apply_matches_dense_reference(rows, u, v):
         for k in range(W3.dim)
     ]
     assert_canonical(bilin_apply(b, u, v), want)
+
+
+@given(st.lists(entries(W3, R3.dim), min_size=L2.dim, max_size=L2.dim), vectors(L2), vectors(R3))
+def test_lin_comb_on_a_row_or_column_is_bilin_apply(rows, u, v):
+    # a basis vector in one argument leaves the linear map of its row or
+    # column, which lin_comb applies with the result equal to bilin_apply's
+    b = BilinearMap(L2, R3, W3, rows)
+    for i, p in enumerate(L2.basis_vectors()):
+        assert lin_comb(b.table[i], v, W3.zero()) == bilin_apply(b, p, v)
+    for j, r in enumerate(R3.basis_vectors()):
+        column = [row[j] for row in b.table]
+        assert_canonical(lin_comb(column, u, W3.zero()), dense(bilin_apply(b, u, r)))
 
 
 @given(entries(W3, L2.dim), vectors(L2))
