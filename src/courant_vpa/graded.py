@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 from typing import TYPE_CHECKING
 
 from .courant import CourantAlgebroid, StructureError, UnitalCommAlgebra
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply
-from .vpa import Monomial, SCElement, factor_degree, format_monomial
+from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply, lin_comb, map_apply
+from .vpa import Monomial, SCElement, factor_degree, format_monomial, mono_degree
 
 if TYPE_CHECKING:  # quotient.py reads its degrees 0 and 1 back through this module
     from .quotient import CourantQuotient
@@ -114,26 +115,56 @@ def _top(u: SCElement) -> int:
     return max((factor_degree(m[-1]) for m in u.terms if m), default=0)
 
 
+def _sum(terms: list[Vector], zero: Vector) -> Vector:
+    """The sum of ``terms``, all in the space of ``zero``."""
+    out = zero
+    for w in terms:
+        if w.items:
+            out = out + w if out.items else w
+    return out
+
+
 def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaView:
     """Serialize the quotient algebra's graded pieces into a view.
 
     Degree 0 and 1 use the base spaces themselves; higher degrees use the
     canonical monomial bases of the quotient, and the unit is the normal
-    form of 1.  Every table entry is computed in the symmetric algebra on
-    the basis normal forms and reduced inside one ``q.memoized()`` block,
-    so the products and normal forms of repeated monomials are computed
-    once.
+    form of 1.  ``d``, ``mult`` and the product entries u_n v with both
+    degrees <= 1 are computed in the symmetric algebra on the basis normal
+    forms and reduced inside one ``q.memoized()`` block.
 
-    A product entry u_n v is not computed when n >= top(u) + top(v) (see
-    ``_top``): it is zero by grading.  ``VertexLie._gen_product`` gives
-    g_j f = 0 for generators once j >= deg g + deg f, from its three cases
-    a_i D^m b (needs i <= m), (D^k b)_i a (needs i = k) and
-    (D^k b)_i D^m b' (needs i <= k + m + 1).  By Leibniz in the right slot
-    and the skew formula u_n g = sum_(j >= n) +-D^(j-n)(g_j u)/(j-n)!, with
-    g_j a derivation on u, every term of u_n v carries one such g_j f with
-    j >= n, g a factor of v and f one of u, and deg g + deg f <=
-    top(u) + top(v) <= j.  On sl2 at cutoff 4 this fills 23,339 of the
-    36,359 product entries.
+    Every other product entry is derived from tables already filled, by
+    table operations only.  The quotient is a vertex Poisson algebra, and
+    reduction respects the product and D, so its laws hold between normal
+    forms.  Every basis monomial of degree >= 2 is a product of D^k(b)
+    generators, so the laws reach it from degrees 0 and 1:
+
+    * hd, for v = g.rest of degree >= 2 with two or more factors, g its
+      first factor:  u_n v = (u_n g).rest + g.(u_n rest), where g and
+      rest stand for their normal forms, of lower degree than v (with
+      relations such a form can be a combination of basis vectors);
+    * dcomm, for v = D^k(b) with k >= 1:  u_n v = D(u_n w) + n u_(n-1) w,
+      where w is the normal form of D^(k-1)(b);
+    * hs, for u of degree >= 2 and v of degree <= 1:
+      u_n v = sum_i (-1)^(n+i+1) (1/i!) D^i(v_(n+i) u).
+
+    The tables fill with left degree <= 1 first and then left degree
+    >= 2, each by increasing right degree, so every entry a rule reads is
+    already there: hd and dcomm read entries with the same left degree and
+    a lower right degree, and hs reads entries with left degree <= 1.
+
+    A product entry u_n v is zero and not computed when n >= top(u) +
+    top(v) (see ``_top``): it is zero by grading.
+    ``VertexLie._gen_product`` gives g_j f = 0 for generators once j >=
+    deg g + deg f, from its three cases a_i D^m b (needs i <= m),
+    (D^k b)_i a (needs i = k) and (D^k b)_i D^m b' (needs i <= k + m + 1).
+    By Leibniz in the right slot and the skew formula u_n g = sum_(j >= n)
+    +-D^(j-n)(g_j u)/(j-n)!, with g_j a derivation on u, every term of u_n
+    v carries one such g_j f with j >= n, g a factor of v and f one of u,
+    and deg g + deg f <= top(u) + top(v) <= j.  On sl2 at cutoff 4, 23,339
+    of the 36,359 product entries are zero by grading, 24 are computed in
+    the symmetric algebra and the other 12,996 are derived; ``q.stats()``
+    counts the three kinds.
     """
     top = q.cutoff if cutoff is None else min(cutoff, q.cutoff)
     with q.memoized():
@@ -181,22 +212,91 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
                 for u in elems[p]:
                     rows.append([expand(sym.multiply(u, v), p + qd) for v in elems[qd]])
                 mult[(p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[p + qd], rows)
+
+        # normal forms of the factors hd and dcomm split a basis monomial
+        # into, as vectors of their degrees; a basis monomial is its own
+        normal = {(("b", 0, i),): e for i, e in enumerate(B.basis_vectors())}
+        for p, ms in monos.items():
+            normal.update(zip(ms, spaces[p].basis_vectors()))
+
+        def normal_form(m: Monomial) -> Vector:
+            got = normal.get(m)
+            if got is None:
+                got = normal[m] = expand(SCElement({m: Fraction(1)}), mono_degree(m))
+            return got
+
         zeros = [s.zero() for s in spaces]
-        prod = {}
+        tables: dict[tuple[int, int, int], list[list[Vector]]] = {}
+
+        def times(n: int, p: int, i: int, x: Vector, degree: int) -> Vector | None:
+            """(basis vector i of degree p)_n x for x of the given degree,
+            from a filled table; None when the product's degree is < 0."""
+            target = p + degree - n - 1
+            if target < 0:
+                return None
+            return lin_comb(tables[(n, p, degree)][i], x, zeros[target])
+
+        def derive(n: int, p: int, i: int, qd: int, j: int) -> list[Vector]:
+            """The terms whose sum is (basis vector i of degree p)_n (basis
+            vector j of degree qd), by hs, dcomm or hd."""
+            target = p + qd - n - 1
+            if qd <= 1:  # hs: p >= 2
+                terms = []
+                for k in range(0, target + 1):
+                    w = tables[(n + k, qd, p)][j][i]
+                    if w.items:
+                        for r in range(target - k, target):
+                            w = map_apply(d_maps[r], w)
+                        terms.append(w.scale(Fraction((-1) ** (n + k + 1), factorial(k))))
+                return terms
+            v = monos[qd][j]
+            if len(v) == 1:  # dcomm
+                _, k, b = v[0]
+                w = normal_form((("b", k - 1, b),))
+                below = times(n, p, i, w, qd - 1)
+                terms = [] if below is None else [map_apply(d_maps[target - 1], below)]
+                if n:
+                    terms.append(times(n - 1, p, i, w, qd - 1).scale(n))
+                return terms
+            g, rest = v[:1], v[1:]  # hd
+            dg = factor_degree(g[0])
+            dr = qd - dg
+            gv, rv = normal_form(g), normal_form(rest)
+            terms = []
+            x = times(n, p, i, gv, dg)
+            if x is not None:
+                terms.append(bilin_apply(mult[(target - dr, dr)], x, rv))
+            y = times(n, p, i, rv, dr)
+            if y is not None:
+                terms.append(bilin_apply(mult[(dg, target - dg)], gv, y))
+            return terms
+
+        counted = dict.fromkeys(("view_entries_sym", "view_entries_laws", "view_entries_zero"), 0)
+        # the key order fills left degrees 0 and 1 before the rest
         for p in range(top + 1):
             for qd in range(top + 1):
-                for n in range(0, p + qd):
+                for n in range(max(0, p + qd - 1 - top), p + qd):
                     target = p + qd - n - 1
-                    if not 0 <= target <= top:
-                        continue
                     zero = zeros[target]
-                    rows = []
-                    for u, tu in zip(elems[p], tops[p]):
-                        rows.append([
-                            zero if n >= tu + tv else expand(sym.product(n, u, v), target)
-                            for v, tv in zip(elems[qd], tops[qd])
-                        ])
-                    prod[(n, p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[target], rows)
+                    rows = tables[(n, p, qd)] = []
+                    for i, (u, tu) in enumerate(zip(elems[p], tops[p])):
+                        row = []
+                        for j, (v, tv) in enumerate(zip(elems[qd], tops[qd])):
+                            if n >= tu + tv:
+                                row.append(zero)
+                                counted["view_entries_zero"] += 1
+                            elif p <= 1 and qd <= 1:
+                                row.append(expand(sym.product(n, u, v), target))
+                                counted["view_entries_sym"] += 1
+                            else:
+                                row.append(_sum(derive(n, p, i, qd, j), zero))
+                                counted["view_entries_laws"] += 1
+                        rows.append(row)
+        q.add_counts(**counted)
+        prod = {
+            (n, p, qd): BilinearMap(spaces[p], spaces[qd], spaces[p + qd - n - 1], rows)
+            for (n, p, qd), rows in tables.items()
+        }
         return GradedVpaView(
             spaces=tuple(spaces),
             unit=expand(sym.one(), 0),

@@ -205,7 +205,8 @@ class CourantQuotient:
         self._partial = [X.d(a).items for a in A]
         self._memo: _FusionMemo | None = None
         self._counts = dict.fromkeys(
-            ("shadows_inserted", "shadows_skipped", "rows_kept", "fusion_steps", "peak_memo_entries"),
+            ("shadows_inserted", "shadows_skipped", "rows_kept", "fusion_steps", "peak_memo_entries",
+             "view_entries_sym", "view_entries_laws", "view_entries_zero"),
             0,
         )
         self._relations = {n: Echelon() for n in range(2, cutoff + 1)}
@@ -232,10 +233,18 @@ class CourantQuotient:
     def stats(self) -> dict:
         """What the quotient has done so far: relation dimensions of
         degrees 2..cutoff, shadows inserted into the relation bases and the
-        rows they kept, stage-one rewrite steps, and the most entries one
-        fusion memo held."""
+        rows they kept, stage-one rewrite steps, the most entries one
+        fusion memo held, and the n-th product entries of the views
+        assembled from it, by how each was filled: computed in the
+        symmetric algebra, derived by the vertex Poisson laws, or zero by
+        grading."""
         return {"relation_dims": [self.relation_dim(n) for n in range(2, self.cutoff + 1)],
                 **self._counts}
+
+    def add_counts(self, **counts: int) -> None:
+        """Add to the counters ``stats`` reports."""
+        for name, k in counts.items():
+            self._counts[name] += k
 
     # -- stage-one fusion ---------------------------------------------------
 

@@ -208,6 +208,9 @@ def test_build_json_reports_quotient_stats(capsys):
     # 154 seeds and closure products, of which 129 are zero by construction
     assert (stats["shadows_inserted"], stats["shadows_skipped"]) == (25, 129)
     assert stats["fusion_steps"] > 0 and stats["peak_memo_entries"] > 0
+    # the view's 888 n-th product entries: from the symmetric algebra, by
+    # the vertex Poisson laws, zero by grading
+    assert (stats["view_entries_sym"], stats["view_entries_laws"], stats["view_entries_zero"]) == (16, 584, 288)
 
 
 def test_criterion_line_format():

@@ -17,7 +17,7 @@ from courant_vpa.graded import (
 )
 from courant_vpa.linalg import BilinearMap, Vector
 from courant_vpa.quotient import CourantQuotient
-from courant_vpa.vpa import SCElement
+from courant_vpa.vpa import SCElement, format_monomial
 
 
 def view_for(name, cutoff=2):
@@ -106,10 +106,7 @@ def test_grading_skip_drops_only_zero_products(name, cutoff):
     # every product entry assemble_view leaves out by grading reduces to 0
     # when the symmetric algebra computes it in full
     q = CourantQuotient(example(name), cutoff)
-    elems = [
-        [q.embed_a(v) for v in q.X.A.space.basis_vectors()],
-        [q.embed_b(v) for v in q.X.B.basis_vectors()],
-    ] + [[q.reduce(SCElement({m: Fraction(1)})) for m in q.basis_monomials(p)] for p in range(2, cutoff + 1)]
+    elems = basis_forms(q, cutoff)
     skipped = 0
     with q.memoized():
         for p, us in enumerate(elems):
@@ -121,6 +118,75 @@ def test_grading_skip_drops_only_zero_products(name, cutoff):
                                 skipped += 1
                                 assert q.reduce(q.sym.product(n, u, v)).is_zero(), (n, u, v)
     assert skipped > 0
+
+
+def basis_forms(q, cutoff):
+    """The normal forms of each degree's basis, degrees 0..cutoff."""
+    return [
+        [q.embed_a(v) for v in q.X.A.space.basis_vectors()],
+        [q.embed_b(v) for v in q.X.B.basis_vectors()],
+    ] + [[q.reduce(SCElement({m: Fraction(1)})) for m in q.basis_monomials(p)] for p in range(2, cutoff + 1)]
+
+
+def symbolic_prod(q, V):
+    """The reference for ``V.prod``: every entry computed in the symmetric
+    algebra on the basis normal forms and reduced, skipping only the
+    entries that are zero by grading, in the view's key order."""
+    sym = q.sym
+    elems = basis_forms(q, V.cutoff)
+
+    def expand(w, degree):
+        u = q.reduce(w)
+        if degree == 0:
+            return q.to_a_vector(u)
+        if degree == 1:
+            return q.to_b_vector(u)
+        space = V.spaces[degree]
+        return Vector(space, {space.index(format_monomial(sym, m)): c for m, c in u.terms.items()})
+
+    prod = {}
+    with q.memoized():
+        for p in range(V.cutoff + 1):
+            for qd in range(V.cutoff + 1):
+                for n in range(max(0, p + qd - 1 - V.cutoff), p + qd):
+                    target = p + qd - n - 1
+                    zero = V.spaces[target].zero()
+                    rows = [
+                        [zero if n >= _top(u) + _top(v) else expand(sym.product(n, u, v), target) for v in elems[qd]]
+                        for u in elems[p]
+                    ]
+                    prod[(n, p, qd)] = BilinearMap(V.spaces[p], V.spaces[qd], V.spaces[target], rows)
+    return prod
+
+
+@pytest.mark.parametrize(
+    "name,cutoff",
+    [(name, cutoff) for name in example_names() for cutoff in (2, 3)]
+    + [(name, 4) for name in ("quadratic_lie(sl2)", "exact(2)", "heisenberg", "trivial(3)")],
+)
+def test_law_derived_products_match_symbolic(name, cutoff):
+    # the n-th products assemble_view derives by hd, dcomm and hs agree key
+    # for key and entry for entry with the symmetric algebra's
+    q = CourantQuotient(example(name), cutoff)
+    V = assemble_view(q)
+    want = symbolic_prod(q, V)
+    assert list(V.prod) == list(want)
+    for key, table in want.items():
+        got = V.prod[key].table
+        for i, row in enumerate(table.table):
+            for j, entry in enumerate(row):
+                assert got[i][j] == entry, (key, V.spaces[key[1]].basis[i], V.spaces[key[2]].basis[j])
+
+
+def test_view_entry_counts_are_pinned():
+    # sl2 at degree 4: 24 entries from the symmetric algebra, the rest by
+    # the laws or zero by grading
+    q = CourantQuotient(example("quadratic_lie(sl2)"), 4)
+    assemble_view(q)
+    stats = q.stats()
+    got = (stats["view_entries_sym"], stats["view_entries_laws"], stats["view_entries_zero"])
+    assert got == (24, 12_996, 23_339)
+    assert sum(got) == 36_359
 
 
 def _pinned_views():
