@@ -18,10 +18,9 @@ output is certified by check_courant at build time.
 from __future__ import annotations
 
 import re
-from fractions import Fraction
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra, check_courant
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector
+from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector
 
 _NAME_RE = re.compile(r"^([a-z_]+)(?:\((\w+)\))?$")
 
@@ -155,8 +154,8 @@ def _sl2() -> CourantAlgebroid:
 # a 1-form q(x) dx lives modulo x^(m-1) dx because d(x^m) = 0.
 
 
-def _pmul(p: list[Fraction], q: list[Fraction], m: int) -> list[Fraction]:
-    out = [Fraction(0)] * m
+def _pmul(p: list[Scalar], q: list[Scalar], m: int) -> list[Scalar]:
+    out = [0] * m
     for i, a in enumerate(p):
         if a == 0:
             continue
@@ -167,8 +166,8 @@ def _pmul(p: list[Fraction], q: list[Fraction], m: int) -> list[Fraction]:
     return out
 
 
-def _pdiff(p: list[Fraction]) -> list[Fraction]:
-    return [Fraction(k + 1) * c for k, c in enumerate(p[1:])] + [Fraction(0)]
+def _pdiff(p: list[Scalar]) -> list[Scalar]:
+    return [(k + 1) * c for k, c in enumerate(p[1:])] + [0]
 
 
 def _exact(m: int) -> CourantAlgebroid:
@@ -179,16 +178,16 @@ def _exact(m: int) -> CourantAlgebroid:
     B = BasedSpace("B", der_labels + om_labels)
     nd = m - 1  # number of derivation generators; om generators follow
 
-    def poly(vecA: Vector) -> list[Fraction]:
-        out = [Fraction(0)] * m
+    def poly(vecA: Vector) -> list[Scalar]:
+        out = [0] * m
         for i, c in vecA.items:
             out[i] = c
         return out
 
-    def a_vec(p: list[Fraction]) -> Vector:
+    def a_vec(p: list[Scalar]) -> Vector:
         return Vector(A, {i: c for i, c in enumerate(p) if i < m})
 
-    def b_vec(der: list[Fraction], om: list[Fraction]) -> Vector:
+    def b_vec(der: list[Scalar], om: list[Scalar]) -> Vector:
         """der = coefficient poly of d/dx (must lie in (x)); om = q(x) for
         q dx, truncated at x^(m-1) dx = 0."""
         coeffs = {}
@@ -200,9 +199,9 @@ def _exact(m: int) -> CourantAlgebroid:
                 coeffs[nd + k] = om[k]
         return Vector(B, coeffs)
 
-    def split(u: Vector) -> tuple[list[Fraction], list[Fraction]]:
-        der = [Fraction(0)] * m
-        om = [Fraction(0)] * m
+    def split(u: Vector) -> tuple[list[Scalar], list[Scalar]]:
+        der = [0] * m
+        om = [0] * m
         for i, c in u.items:
             if i < nd:
                 der[i + 1] = c
@@ -210,7 +209,7 @@ def _exact(m: int) -> CourantAlgebroid:
                 om[i - nd] = c
         return der, om
 
-    zero = [Fraction(0)] * m
+    zero = [0] * m
 
     def build_action():
         entries = {}

@@ -50,11 +50,10 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra
 from .graded import GradedVpaView
-from .linalg import ONE, BasedSpace, BilinearMap, LinearMap, Vector, scalar_from_str, scalar_to_str
+from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, scalar_from_str, scalar_to_str
 from .tca import OneTruncatedConformalAlgebra
 
 LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
@@ -170,7 +169,7 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
     if len(toks) == 1 and toks[0][0] == "0":
         return space.zero()
     toks = toks + [(None, end)]
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Scalar] = {}
     negative = toks[0][0] == "-"
     i = 1 if negative else 0
     while True:
@@ -190,7 +189,7 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
                 raise ParseError("expected a basis label after *", line, col)
             i += 2
         elif LABEL_RE.match(tok):
-            c, label = -ONE if negative else ONE, tok
+            c, label = -1 if negative else 1, tok
         else:
             raise ParseError("unexpected token %r in expression" % tok, line, col)
         try:
@@ -201,7 +200,7 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
         coeffs[idx] = c if x is None else x + c
         tok, col = toks[i]
         if tok is None:
-            # indices come from the space's index, coefficients are Fractions
+            # indices come from the space's index, coefficients are exact scalars
             return Vector._trusted(space, coeffs)
         if tok != "+" and tok != "-":
             raise ParseError("expected + or -, got %r" % tok, line, col)

@@ -178,13 +178,12 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
             monos[n] = ms
             spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in ms]))
 
-        # the normal forms of each degree's basis, reduced once
+        # the normal forms of each degree's basis; a basis monomial of
+        # degree >= 2 leads no relation, so it is its own normal form
         elems = [
             [q.embed_a(v) for v in A.basis_vectors()],
             [q.embed_b(v) for v in B.basis_vectors()],
-        ] + [
-            [q.reduce(SCElement({m: Fraction(1)})) for m in monos[p]] for p in range(2, top + 1)
-        ]
+        ] + [[SCElement({m: 1}) for m in monos[p]] for p in range(2, top + 1)]
         tops = [[_top(u) for u in es] for es in elems]
         indices = {p: {m: i for i, m in enumerate(ms)} for p, ms in monos.items()}
 
@@ -222,7 +221,7 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
         def normal_form(m: Monomial) -> Vector:
             got = normal.get(m)
             if got is None:
-                got = normal[m] = expand(SCElement({m: Fraction(1)}), mono_degree(m))
+                got = normal[m] = expand(SCElement({m: 1}), mono_degree(m))
             return got
 
         zeros = [s.zero() for s in spaces]

@@ -31,6 +31,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, factorial
 
+from .linalg import rational
 from .reports import Violation
 
 
@@ -56,7 +57,7 @@ def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[V
                 chain = chains[n + i]
                 while len(chain) <= i:
                     chain.append(alg.d(chain[-1]))
-                terms.append((Fraction((-1) ** (n + i + 1), factorial(i)), chain[i]))
+                terms.append((rational(Fraction((-1) ** (n + i + 1), factorial(i))), chain[i]))
             rhs = alg.combine(terms)
             if lhs != rhs:
                 out.append(Violation(module, "hs", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))

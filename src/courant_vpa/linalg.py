@@ -3,16 +3,24 @@
 Everything downstream (algebra multiplications, brackets, pairings,
 derivations) is stored as structure constants against the bases defined
 here, so equality of canonical sparse forms is equality of the
-mathematical objects.  All arithmetic is over Q via ``fractions.Fraction``;
-no floating point anywhere.
+mathematical objects.  All arithmetic is over Q with exact rationals:
+an ``int`` when the value is integral, else a ``fractions.Fraction``
+whose denominator is not 1; never a float.  ``rational`` is the one
+coercion into that form.  Almost every structure constant is an
+integer, so int-by-int arithmetic stays in C-level ``int`` operations and
+only the coefficients that really are fractions pay for ``Fraction``.
+The kernel constructors (``Vector._trusted``, the rows of ``Echelon``
+and ``vpa.SCElement``) canonicalize what they store, because a sum or a
+product of Fractions can be integral; an int pays only ``type(c) is
+int``.  Division goes through ``Fraction(a, b)``, never ``/``.
 
 The public ``Vector(space, coeffs)`` constructor coerces and range-checks
 its input.  Results of the kernel arithmetic (``bilin_apply``,
 ``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``, ``vec_combine``) are
-built by the private ``Vector._trusted``, which skips both checks: their
-indices come from vectors and tables that were validated when they were
-built, and their coefficients are products and sums of ``Fraction``
-values.  A kernel result may also be one of its inputs or a stored vector
+built by the private ``Vector._trusted``, which skips the range check:
+their indices come from vectors and tables that were validated when they
+were built, and their coefficients are products and sums of exact
+scalars.  A kernel result may also be one of its inputs or a stored vector
 itself: for example ``bilin_apply`` of two basis vectors returns
 ``table[i][j]``, and of a zero argument the map's own zero vector.  That
 sharing is safe because a Vector is never modified after construction:
@@ -31,16 +39,30 @@ with coefficient 1, and no row holds another row's lead.
 from __future__ import annotations
 
 from fractions import Fraction
+from numbers import Rational
 from typing import Iterable, Mapping
 
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Scalar = int | Fraction
 
 
 class SpaceMismatch(ValueError):
     """Raised when vectors or maps are combined across different spaces."""
+
+
+def rational(x) -> Scalar:
+    """``x`` as the library's exact scalar: an int when it is integral,
+    else a Fraction whose denominator is not 1.
+
+    Raises TypeError on anything that is not a rational number, a float
+    above all: a float is not exact.
+    """
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        if not isinstance(x, Rational):
+            raise TypeError("exact rational expected, got %s %r" % (type(x).__name__, x))
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def scalar_from_str(text: str, negate: bool = False) -> Scalar:
@@ -56,9 +78,9 @@ def scalar_from_str(text: str, negate: bool = False) -> Scalar:
         if d == 0:
             raise ValueError("zero denominator in %r" % text)
         n = int(num)
-        return Fraction(-n if negate else n, d)
+        return rational(Fraction(-n if negate else n, d))
     n = int(text)
-    return Fraction(-n if negate else n)
+    return -n if negate else n
 
 
 def scalar_to_str(value: Scalar) -> str:
@@ -111,11 +133,11 @@ class BasedSpace:
         return Vector(self, {})
 
     def unit_vector(self, label: str) -> "Vector":
-        return Vector(self, {self.index(label): ONE})
+        return Vector(self, {self.index(label): 1})
 
     def vector(self, coeffs: Mapping[str, object]) -> "Vector":
         """Vector from a {label: coefficient} mapping."""
-        return Vector(self, {self.index(l): Fraction(c) for l, c in coeffs.items()})
+        return Vector(self, {self.index(l): c for l, c in coeffs.items()})
 
     def basis_vectors(self) -> list["Vector"]:
         return [self.unit_vector(l) for l in self.basis]
@@ -137,8 +159,8 @@ class Vector:
             if not 0 <= i < dim:
                 raise IndexError("index %d out of range for space %r" % (i, space.name))
             c = coeffs[i]
-            if type(c) is not Fraction:
-                c = Fraction(c)
+            if type(c) is not int:
+                c = rational(c)
             if c:
                 items.append((i, c))
         self.space = space
@@ -146,20 +168,22 @@ class Vector:
 
     @classmethod
     def _trusted(cls, space: BasedSpace, coeffs: dict[int, Scalar]) -> "Vector":
-        """A kernel result: ``coeffs`` holds only Fraction values at indices
-        already known to lie in ``space``.  Zeros are dropped and indices
-        sorted, as in the public constructor; nothing is coerced or
-        range-checked."""
+        """A kernel result: ``coeffs`` holds exact scalars at indices already
+        known to lie in ``space``.  Zeros are dropped, integral Fractions
+        become ints and indices are sorted, as in the public constructor;
+        nothing is range-checked."""
         v = object.__new__(cls)
         v.space = space
-        v.items = tuple(sorted([ic for ic in coeffs.items() if ic[1]]))
+        v.items = tuple(sorted([
+            (i, c if type(c) is int else rational(c)) for i, c in coeffs.items() if c
+        ]))
         return v
 
     def __getitem__(self, i: int) -> Scalar:
         for j, c in self.items:
             if j == i:
                 return c
-        return ZERO
+        return 0
 
     def is_zero(self) -> bool:
         return not self.items
@@ -200,7 +224,7 @@ class Vector:
         return Vector._trusted(self.space, {i: -c for i, c in self.items})
 
     def scale(self, factor) -> "Vector":
-        f = factor if type(factor) is Fraction else Fraction(factor)
+        f = factor if type(factor) is int else rational(factor)
         if f == 1:
             return self
         return Vector._trusted(self.space, {i: c * f for i, c in self.items} if f else {})
@@ -243,7 +267,7 @@ def vec_combine(terms: Iterable[tuple[object, Vector]]) -> Vector:
             raise SpaceMismatch(
                 "vec_combine across %r and %r" % (space.name, v.space.name)
             )
-        f = Fraction(c)
+        f = rational(c)
         for i, w in v.items:
             y = f * w
             x = coeffs.get(i)
@@ -465,7 +489,8 @@ def bilin_apply(b: BilinearMap, u: Vector, v: Vector) -> Vector:
 class Echelon:
     """Fully reduced echelon basis of the span of sparse rows.
 
-    Rows are ``{key: Fraction}`` dicts over totally ordered keys.  Each row
+    Rows are ``{key: scalar}`` dicts over totally ordered keys, their
+    scalars canonical as ``rational`` makes them.  Each row
     is stored in ``rows`` under its lead, its largest key, with coefficient
     1, and no row holds another row's lead; ``insert`` keeps that
     invariant.  For a fixed key order this basis is unique, so it does not
@@ -487,7 +512,7 @@ class Echelon:
         coefficient, so one pass over the leads present in ``vec`` clears
         them all.
         """
-        out = {k: c for k, c in vec.items() if c}
+        out = {k: c if type(c) is int else rational(c) for k, c in vec.items() if c}
         rows = self.rows
         for lead in [k for k in out if k in rows]:
             _sub_scaled(out, out[lead], rows[lead])
@@ -499,8 +524,8 @@ class Echelon:
         if not vec:
             return False
         lead = max(vec)
-        inv = ONE / vec[lead]
-        row = {k: c * inv for k, c in vec.items()}
+        c = vec[lead]
+        row = vec if c == 1 else {k: rational(Fraction(w, c)) for k, w in vec.items()}
         # clear the new lead from every other row
         for other in self.rows.values():
             c = other.get(lead)
@@ -513,9 +538,9 @@ class Echelon:
 def _sub_scaled(dst: dict, c: Scalar, src: dict) -> None:
     """``dst -= c * src`` in place, dropping the keys that cancel."""
     for k, w in src.items():
-        nv = dst.get(k, ZERO) - c * w
+        nv = dst.get(k, 0) - c * w
         if nv:
-            dst[k] = nv
+            dst[k] = nv if type(nv) is int else rational(nv)
         else:
             del dst[k]
 
@@ -538,12 +563,12 @@ def solve_linear(rows: list[list[Scalar]], rhs: list[Scalar]) -> list[Scalar] | 
     n = len(rows[0]) if rows else 0
     ech = Echelon()
     for row, r in zip(rows, rhs):
-        vec = {-j: Fraction(x) for j, x in enumerate(row)}
-        vec[-n] = Fraction(r)
+        vec = {-j: rational(x) for j, x in enumerate(row)}
+        vec[-n] = rational(r)
         ech.insert(vec)
     if -n in ech.rows:
         return None
-    sol = [ZERO] * n
+    sol = [0] * n
     for lead, row in ech.rows.items():
-        sol[-lead] = row.get(-n, ZERO)
+        sol[-lead] = row.get(-n, 0)
     return sol

@@ -84,7 +84,7 @@ from .courant import (
     to_1tca,
 )
 from .graded import assemble_view, extract_courant
-from .linalg import ONE, ZERO, BasedSpace, Echelon, LinearMap, Vector, format_vector, rank
+from .linalg import BasedSpace, Echelon, LinearMap, Scalar, Vector, format_vector, rank
 from .reports import CheckReport, Violation
 from .vlie import VertexLie
 from .vpa import (
@@ -166,13 +166,13 @@ class _FusionMemo:
         return sum(len(t) for t in self.fused.values()) + sum(len(t) for t in self.normal.values())
 
 
-def _combine(coeffs, rows) -> dict[int, Fraction]:
+def _combine(coeffs, rows) -> dict[int, Scalar]:
     """sum c.rows[i] over (i, c) pairs, for rows of (index, coefficient)
     pairs, with zero coefficients dropped."""
-    acc: dict[int, Fraction] = {}
+    acc: dict[int, Scalar] = {}
     for i, c in coeffs:
         for k, w in rows[i]:
-            acc[k] = acc.get(k, ZERO) + c * w
+            acc[k] = acc.get(k, 0) + c * w
     return {k: w for k, w in acc.items() if w}
 
 
@@ -273,7 +273,7 @@ class CourantQuotient:
                 )
             k = _a_count(m)
             if k == 0:
-                done[m] = (m, ONE) if m else self._unit
+                done[m] = (m, 1) if m else self._unit
             elif k == len(m):
                 done[m] = self._fuse_a_product(m)
             else:
@@ -282,23 +282,23 @@ class CourantQuotient:
         self._counts["fusion_steps"] += steps
         # a step removes one A-factor, so children are summed before parents
         for m in sorted(plans, key=_a_count):
-            acc: dict[Monomial, Fraction] = {}
+            acc: dict[Monomial, Scalar] = {}
             for child, c in plans[m]:
                 got = done.get(child)
                 for t, w in _pairs(table[child] if got is None else got):
-                    acc[t] = acc.get(t, ZERO) + c * w
+                    acc[t] = acc.get(t, 0) + c * w
             done[m] = _flat(_nonzero(acc))
         table.update(done)
         return table
 
     def _fuse_a_product(self, m: Monomial) -> tuple:
         """A pure A-factor monomial is its product in A."""
-        vec = {m[0][1]: ONE}
+        vec = {m[0][1]: 1}
         for f in m[1:]:
-            out: dict[int, Fraction] = {}
+            out: dict[int, Scalar] = {}
             for i, c in vec.items():
                 for k, w in self._mult[i][f[1]]:
-                    out[k] = out.get(k, ZERO) + c * w
+                    out[k] = out.get(k, 0) + c * w
             vec = out
         return tuple(x for i, c in vec.items() if c for x in ((("a", i),), c))
 
@@ -444,11 +444,11 @@ class CourantQuotient:
     def _identity_unit(self) -> int | None:
         """u when the unit is the basis vector e_u and its rows are those of
         an identity: e_u.b = b, p(e_u) = 0, e_u a = a e_u = a."""
-        if len(self._unit) != 2 or self._unit[1] != ONE:
+        if len(self._unit) != 2 or self._unit[1] != 1:
             return None
         u = self._unit[0][0][1]
         rows = self._mult[u], [row[u] for row in self._mult], self._act[u]
-        if self._partial[u] or any(r != ((i, ONE),) for got in rows for i, r in enumerate(got)):
+        if self._partial[u] or any(r != ((i, 1),) for got in rows for i, r in enumerate(got)):
             return None
         return u
 
@@ -459,7 +459,7 @@ class CourantQuotient:
         if _combine(unit, self._partial):
             return False
         return all(
-            _combine(unit, [row[b] for row in self._act]) == {b: ONE}
+            _combine(unit, [row[b] for row in self._act]) == {b: 1}
             for b in range(self.X.B.dim)
         )
 
@@ -506,26 +506,26 @@ class CourantQuotient:
             table = self._fuse(missing, strategy)
             for m in missing:
                 normal[m] = _flat(self._normal_terms(dict(_pairs(table[m]))))
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for m, c in u.terms.items():
             for t, w in _pairs(normal[m]):
-                acc[t] = acc.get(t, ZERO) + c * w
+                acc[t] = acc.get(t, 0) + c * w
         return SCElement(acc)
 
-    def _fused_sum(self, terms, strategy: str) -> dict[Monomial, Fraction]:
+    def _fused_sum(self, terms, strategy: str) -> dict[Monomial, Scalar]:
         """Fused form of sum c.m over (m, c) pairs."""
         terms = list(terms)
         table = self._fuse([m for m, _ in terms], strategy)
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for m, c in terms:
             for t, w in _pairs(table[m]):
-                acc[t] = acc.get(t, ZERO) + c * w
+                acc[t] = acc.get(t, 0) + c * w
         return acc
 
-    def _normal_terms(self, fused: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
+    def _normal_terms(self, fused: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
         """Stage two: clear the relation leads of each degree >= 2."""
-        out: dict[Monomial, Fraction] = {}
-        by_degree: dict[int, dict[Monomial, Fraction]] = {}
+        out: dict[Monomial, Scalar] = {}
+        by_degree: dict[int, dict[Monomial, Scalar]] = {}
         for t, c in fused.items():
             if not c:
                 continue
@@ -589,7 +589,7 @@ class CourantQuotient:
 def _single_factors(u: SCElement, head: tuple, space: BasedSpace, degree: int) -> Vector:
     """``u`` as a vector of ``space`` when each of its monomials is one
     factor that begins with ``head``: ("a",) for A, ("b", 0) for B."""
-    coeffs: dict[int, Fraction] = {}
+    coeffs: dict[int, Scalar] = {}
     for m, c in u.terms.items():
         if len(m) != 1 or m[0][: len(head)] != head:
             raise ValueError("not a degree-%d normal form: %r" % (degree, m))
@@ -629,7 +629,7 @@ def random_corpus(q: CourantQuotient, count: int, seed: int = 20240801):
     gens = [f for _, f in q.sym.generators()]
     corpus = []
     for _ in range(count):
-        terms: dict[Monomial, Fraction] = {}
+        terms: dict[Monomial, Scalar] = {}
         for _ in range(rng.randint(1, 3)):
             nfac = rng.randint(0, 4)
             factors = []
@@ -641,7 +641,7 @@ def random_corpus(q: CourantQuotient, count: int, seed: int = 20240801):
                 budget -= factor_degree(g)
             m = make_monomial(factors)
             coeff = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.choice([1, 2]))
-            terms[m] = terms.get(m, Fraction(0)) + coeff
+            terms[m] = terms.get(m, 0) + coeff
         corpus.append(SCElement(terms))
     return corpus
 
@@ -682,7 +682,7 @@ def check_quotient_dimensions(q: CourantQuotient) -> CheckReport:
     spans = ((0, a_monos, q.to_a_vector, q.X.A.space.dim), (1, b_monos, q.to_b_vector, q.X.B.dim))
     for degree, monos, read, dim in spans:
         try:
-            vecs = [read(q.reduce(SCElement({m: ONE}))) for m in monos]
+            vecs = [read(q.reduce(SCElement({m: 1}))) for m in monos]
         except ValueError as err:
             out.append(Violation(MODULE, "dim%d.shape" % degree, (), str(err), "pure degree-%d" % degree))
             continue

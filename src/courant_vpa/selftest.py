@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .courant import (
     CourantAlgebroid,
@@ -72,7 +71,7 @@ def _mutations(X, delta=1):
             for j in range(t.right.dim):
                 for k in range(t.codomain.dim):
                     rows = [list(r) for r in t.table]
-                    rows[i][j] = rows[i][j] + Vector(t.codomain, {k: Fraction(delta)})
+                    rows[i][j] = rows[i][j] + Vector(t.codomain, {k: delta})
                     new = dict(tables, **{tname: BilinearMap(t.left, t.right, t.codomain, rows)})
                     yield "%s[%d,%d,%d]" % (tname, i, j, k), CourantAlgebroid(
                         A=UnitalCommAlgebra(X.A.space, new["mult"], X.A.unit),
@@ -82,7 +81,7 @@ def _mutations(X, delta=1):
     for col in range(X.A.space.dim):
         for k in range(X.B.dim):
             cols = list(X.partial.columns)
-            cols[col] = cols[col] + Vector(X.B, {k: Fraction(delta)})
+            cols[col] = cols[col] + Vector(X.B, {k: delta})
             yield "partial[%d,%d]" % (col, k), CourantAlgebroid(
                 A=X.A, B=X.B, action=X.action, bracket=X.bracket, anchor=X.anchor,
                 pairing=X.pairing, partial=LinearMap(X.A.space, X.B, cols),

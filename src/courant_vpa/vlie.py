@@ -37,7 +37,7 @@ from fractions import Fraction
 from math import factorial
 
 from . import laws
-from .linalg import Vector, bilin_apply, format_vector, map_apply
+from .linalg import Vector, bilin_apply, format_vector, map_apply, rational
 from .reports import CheckReport, Violation
 from .tca import OneTruncatedConformalAlgebra
 
@@ -102,7 +102,7 @@ class CElement:
         return self.scale(-1)
 
     def scale(self, f) -> "CElement":
-        f = Fraction(f)
+        f = rational(f)
         return CElement(self.a_part.scale(f), {n: v.scale(f) for n, v in self.b_parts.items()})
 
     def __repr__(self) -> str:
@@ -208,6 +208,8 @@ class VertexLie:
         D-power since D(a) is already a 'b' shape in normal form.
         """
         T = self.tca
+        # each coefficient is a quotient of factorials that divides
+        # exactly (i!/j! with j <= i, m!/(m-j)!, j m!/(m-j+1)! with j >= 1)
         if first[0] == "a":
             a = first[1]
             if second[0] == "a":
@@ -216,7 +218,7 @@ class VertexLie:
             if i > n:
                 return self.zero()
             w = bilin_apply(T.p0_01, a, b)  # a_0 b, degree 0
-            coef = Fraction(factorial(n), factorial(n - i))
+            coef = factorial(n) // factorial(n - i)
             return self._lift_a(w, n - i).scale(coef)
         _, nu, b = first
         if second[0] == "a":
@@ -224,20 +226,20 @@ class VertexLie:
             if i != nu:
                 return self.zero()
             w = bilin_apply(T.p0_10, b, second[1])
-            return CElement(w.scale(Fraction((-1) ** nu * factorial(nu))))
+            return CElement(w.scale((-1) ** nu * factorial(nu)))
         _, m, b2 = second
         j = i - nu
         if j < 0:
             return self.zero()
-        sign = Fraction((-1) ** nu * factorial(i), factorial(j))
+        sign = (-1) ** nu * (factorial(i) // factorial(j))
         out = self.zero()
         if j <= m:
             w0 = bilin_apply(T.p0_11, b, b2)  # degree 1 value
-            c0 = sign * Fraction(factorial(m), factorial(m - j))
+            c0 = sign * (factorial(m) // factorial(m - j))
             out = out + self._lift_b(w0, m - j).scale(c0)
         if 1 <= j <= m + 1:
             w1 = bilin_apply(T.p1_11, b, b2)  # degree 0 value
-            c1 = sign * Fraction(j * factorial(m), factorial(m - j + 1))
+            c1 = sign * (j * factorial(m) // factorial(m - j + 1))
             out = out + self._lift_a(w1, m - j + 1).scale(c1)
         return out
 

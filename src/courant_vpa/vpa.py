@@ -48,6 +48,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from . import laws
+from .linalg import Scalar, rational
 from .reports import CheckReport, Violation
 from .vlie import CElement, CutoffError, VertexLie
 
@@ -73,12 +74,14 @@ def make_monomial(factors) -> Monomial:
 
 
 class SCElement:
-    """Sparse rational combination of canonical monomials."""
+    """Sparse rational combination of canonical monomials; its stored
+    coefficients are non-zero and canonical as ``linalg.rational`` makes
+    them."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: dict[Monomial, Fraction]):
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+    def __init__(self, terms: dict[Monomial, Scalar]):
+        self.terms = {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -108,8 +111,8 @@ class SCElement:
         return self.scale(-1)
 
     def scale(self, f) -> "SCElement":
-        if type(f) is not Fraction:
-            f = Fraction(f)
+        if type(f) is not int:
+            f = rational(f)
         if f == 0:
             return SCElement({})
         return SCElement({m: c * f for m, c in self.terms.items()})
@@ -124,12 +127,14 @@ def _pairs(flat: tuple):
     return zip(it, it)
 
 
-def _flat(terms: dict[Monomial, Fraction]) -> tuple:
+def _flat(terms: dict[Monomial, Scalar]) -> tuple:
     return tuple(x for term in terms.items() for x in term)
 
 
-def _nonzero(terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-    return {m: c for m, c in terms.items() if c}
+def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+    """``terms`` without zeros, its coefficients canonical as in
+    ``SCElement``, so that memoized terms stay on the int path."""
+    return {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
 
 
 class _Memo:
@@ -143,12 +148,12 @@ class _Memo:
         self.rows: dict[tuple[str, int, Monomial], dict[Monomial, tuple]] = {}
         self.d: dict[Monomial, tuple] = {}
         self.monos: dict[Monomial, Monomial] = {}
-        self.coefs: dict[Fraction, Fraction] = {}
+        self.coefs: dict[Scalar, Scalar] = {}
 
     def __len__(self) -> int:
         return len(self.d) + sum(len(row) for row in self.rows.values())
 
-    def freeze(self, terms: dict[Monomial, Fraction]) -> tuple:
+    def freeze(self, terms: dict[Monomial, Scalar]) -> tuple:
         if not terms:
             return ()
         monos, coefs = self.monos, self.coefs
@@ -177,13 +182,13 @@ class SymAlgebra:
         return SCElement({})
 
     def one(self) -> SCElement:
-        return SCElement({(): Fraction(1)})
+        return SCElement({(): 1})
 
     def monomial(self, factors) -> SCElement:
         m = make_monomial(factors)
         if mono_degree(m) > self.cutoff:
             raise CutoffError("monomial degree %d > cutoff %d" % (mono_degree(m), self.cutoff))
-        return SCElement({m: Fraction(1)})
+        return SCElement({m: 1})
 
     def a_gen(self, label: str) -> SCElement:
         return self.monomial([("a", self.A.index(label))])
@@ -193,7 +198,7 @@ class SymAlgebra:
 
     def from_celement(self, c: CElement) -> SCElement:
         """Inclusion of the vertex Lie algebra as the single-factor part."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for i, coef in c.a_part.items:
             out[(("a", i),)] = coef
         for n, vec in c.b_parts.items():
@@ -251,7 +256,7 @@ class SymAlgebra:
             return SCElement({})
         if len(u.terms) > len(v.terms):
             u, v = v, u
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Scalar] = {}
         for m1, c1 in u.terms.items():
             self._add_times(out, v.terms.items(), m1, c1)
         return SCElement(out)
@@ -274,7 +279,7 @@ class SymAlgebra:
 
     def combine(self, terms) -> SCElement:
         """sum of coef * elem over (coef, elem) pairs."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for coef, u in terms:
             if u.terms:
                 self._add_times(acc, u.terms.items(), (), coef)
@@ -287,7 +292,7 @@ class SymAlgebra:
             got = memo.d.get(m)
             if got is not None:
                 return got
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for k, f in enumerate(m):
             df = self.from_celement(self.vlie.d(self.factor_celement(f)))
             self._add_times(acc, df.terms.items(), m[:k] + m[k + 1 :])
@@ -296,8 +301,8 @@ class SymAlgebra:
         got = memo.d[m] = memo.freeze(acc)
         return got
 
-    def _d_terms(self, terms: dict[Monomial, Fraction]) -> dict[Monomial, Fraction]:
-        acc: dict[Monomial, Fraction] = {}
+    def _d_terms(self, terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
+        acc: dict[Monomial, Scalar] = {}
         for m, c in terms.items():
             self._add_times(acc, _pairs(self._d_monomial(m)), (), c)
         return _nonzero(acc)
@@ -339,7 +344,7 @@ class SymAlgebra:
             got = row[mv] = memo.freeze(self._pair_terms(route, n, mu, mv))
         return got
 
-    def _pair_terms(self, route: str, n: int, mu: Monomial, mv: Monomial) -> dict[Monomial, Fraction]:
+    def _pair_terms(self, route: str, n: int, mu: Monomial, mv: Monomial) -> dict[Monomial, Scalar]:
         if route == "generator":
             return self._gen_on_monomial(mu[0], n, mv)
         if not mv:
@@ -347,23 +352,23 @@ class SymAlgebra:
         if len(mv) == 1:
             return self._skew_on_generator(mu, n, mv[0])
         g, rest = mv[:1], mv[1:]
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         self._add_times(acc, _pairs(self._pair("skew", n, mu, g)), rest)
         self._add_times(acc, _pairs(self._pair("skew", n, mu, rest)), g)
         return _nonzero(acc)
 
-    def _gen_on_monomial(self, g: Factor, n: int, m: Monomial) -> dict[Monomial, Fraction]:
+    def _gen_on_monomial(self, g: Factor, n: int, m: Monomial) -> dict[Monomial, Scalar]:
         """Generator route: g acts as a derivation over the factors of m."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for k, f in enumerate(m):
             w = self._gen_pair(n, g, f).terms
             if w:
                 self._add_times(acc, w.items(), m[:k] + m[k + 1 :])
         return _nonzero(acc)
 
-    def _skew_on_generator(self, mu: Monomial, n: int, g: Factor) -> dict[Monomial, Fraction]:
+    def _skew_on_generator(self, mu: Monomial, n: int, g: Factor) -> dict[Monomial, Scalar]:
         """Skew route base case: mu_n g by flipping g over mu."""
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for j in range(n, factor_degree(g) + mono_degree(mu)):
             w = self._pair("generator", j, (g,), mu)
             if not w:
@@ -371,7 +376,8 @@ class SymAlgebra:
             terms = dict(_pairs(w))
             for _ in range(j - n):
                 terms = self._d_terms(terms)
-            self._add_times(acc, terms.items(), (), Fraction((-1) ** (j + 1), factorial(j - n)))
+            coef = rational(Fraction((-1) ** (j + 1), factorial(j - n)))
+            self._add_times(acc, terms.items(), (), coef)
         return _nonzero(acc)
 
     def product(self, n: int, u: SCElement, v: SCElement, route: str = "auto") -> SCElement:
@@ -388,7 +394,7 @@ class SymAlgebra:
             raise ValueError("generator route needs single-factor monomials")
         if not u.terms or not v.terms:
             return SCElement({})
-        acc: dict[Monomial, Fraction] = {}
+        acc: dict[Monomial, Scalar] = {}
         for mu, cu in u.terms.items():
             kind = "generator" if route == "generator" or (route == "auto" and len(mu) == 1) else "skew"
             unit = cu == 1
@@ -454,7 +460,7 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
     top = sym.cutoff if cutoff is None else min(cutoff, sym.cutoff)
     gen_elems = [(l, sym.monomial([f]), factor_degree(f)) for l, f in sym.generators(top)]
     span2 = sym.spanning_monomials(top, 2)
-    span_elems = [(format_monomial(sym, m), SCElement({m: Fraction(1)}), mono_degree(m)) for m in span2]
+    span_elems = [(format_monomial(sym, m), SCElement({m: 1}), mono_degree(m)) for m in span2]
     composites = [x for m, x in zip(span2, span_elems) if len(m) > 1]
     fmt = lambda u: format_element(sym, u)
 

@@ -185,11 +185,16 @@ def dense(v):
     return [v[i] for i in range(v.space.dim)]
 
 
+def canonical(c):
+    """A stored scalar: a non-zero int, or a Fraction that is not integral."""
+    return (type(c) is int and c != 0) or (type(c) is Fraction and c.denominator != 1)
+
+
 def assert_canonical(v, want):
-    """v is sorted, zero-free, all-Fraction, and equals the dense list."""
+    """v is sorted, zero-free, all canonical scalars, and equals the dense list."""
     idx = [i for i, _ in v.items]
     assert idx == sorted(set(idx))
-    assert all(type(c) is Fraction and c != 0 for _, c in v.items)
+    assert all(canonical(c) for _, c in v.items)
     assert v.items == tuple((i, c) for i, c in enumerate(want) if c != 0)
 
 
@@ -371,7 +376,7 @@ def test_echelon_rows_are_fully_reduced(rows):
     ech = echelon_of(rows)
     for lead, row in ech.rows.items():
         assert lead == max(row) and row[lead] == 1
-        assert all(type(c) is Fraction and c != 0 for c in row.values())
+        assert all(canonical(c) for c in row.values())
         assert not any(k in ech.rows for k in row if k != lead)
 
 
