@@ -3,24 +3,16 @@
 Everything downstream (algebra multiplications, brackets, pairings,
 derivations) is stored as structure constants against the bases defined
 here, so equality of canonical sparse forms is equality of the
-mathematical objects.  All arithmetic is over Q with exact rationals:
-an ``int`` when the value is integral, else a ``fractions.Fraction``
-whose denominator is not 1; never a float.  ``rational`` is the one
-coercion into that form.  Almost every structure constant is an
-integer, so int-by-int arithmetic stays in C-level ``int`` operations and
-only the coefficients that really are fractions pay for ``Fraction``.
-The kernel constructors (``Vector._trusted``, the rows of ``Echelon``
-and ``vpa.SCElement``) canonicalize what they store, because a sum or a
-product of Fractions can be integral; an int pays only ``type(c) is
-int``.  Division goes through ``Fraction(a, b)``, never ``/``.
+mathematical objects.  Scalars are exact rationals in the form
+``rational`` gives: an int when integral, else a Fraction; never a
+float.  So the integer arithmetic, most of it, stays in C-level ints.
 
 The public ``Vector(space, coeffs)`` constructor coerces and range-checks
 its input.  Results of the kernel arithmetic (``bilin_apply``,
 ``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``, ``vec_combine``) are
 built by the private ``Vector._trusted``, which skips the range check:
 their indices come from vectors and tables that were validated when they
-were built, and their coefficients are products and sums of exact
-scalars.  A kernel result may also be one of its inputs or a stored vector
+were built.  A kernel result may also be one of its inputs or a stored vector
 itself: for example ``bilin_apply`` of two basis vectors returns
 ``table[i][j]``, and of a zero argument the map's own zero vector.  That
 sharing is safe because a Vector is never modified after construction:
@@ -50,12 +42,8 @@ class SpaceMismatch(ValueError):
 
 
 def rational(x) -> Scalar:
-    """``x`` as the library's exact scalar: an int when it is integral,
-    else a Fraction whose denominator is not 1.
-
-    Raises TypeError on anything that is not a rational number, a float
-    above all: a float is not exact.
-    """
+    """``x`` as an int when integral, else as a Fraction; TypeError for a
+    float or any other non-rational."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
@@ -168,10 +156,10 @@ class Vector:
 
     @classmethod
     def _trusted(cls, space: BasedSpace, coeffs: dict[int, Scalar]) -> "Vector":
-        """A kernel result: ``coeffs`` holds exact scalars at indices already
-        known to lie in ``space``.  Zeros are dropped, integral Fractions
-        become ints and indices are sorted, as in the public constructor;
-        nothing is range-checked."""
+        """A kernel result: ``coeffs`` holds scalars at indices already
+        known to lie in ``space``.  As in the public constructor, zeros are
+        dropped, indices sorted and a sum or product of Fractions that is
+        integral becomes an int; nothing is range-checked."""
         v = object.__new__(cls)
         v.space = space
         v.items = tuple(sorted([
@@ -489,8 +477,7 @@ def bilin_apply(b: BilinearMap, u: Vector, v: Vector) -> Vector:
 class Echelon:
     """Fully reduced echelon basis of the span of sparse rows.
 
-    Rows are ``{key: scalar}`` dicts over totally ordered keys, their
-    scalars canonical as ``rational`` makes them.  Each row
+    Rows are ``{key: scalar}`` dicts over totally ordered keys.  Each row
     is stored in ``rows`` under its lead, its largest key, with coefficient
     1, and no row holds another row's lead; ``insert`` keeps that
     invariant.  For a fixed key order this basis is unique, so it does not

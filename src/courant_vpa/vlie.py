@@ -208,8 +208,7 @@ class VertexLie:
         D-power since D(a) is already a 'b' shape in normal form.
         """
         T = self.tca
-        # each coefficient is a quotient of factorials that divides
-        # exactly (i!/j! with j <= i, m!/(m-j)!, j m!/(m-j+1)! with j >= 1)
+        # every factorial quotient below is an integer, so // is exact
         if first[0] == "a":
             a = first[1]
             if second[0] == "a":

@@ -74,9 +74,7 @@ def make_monomial(factors) -> Monomial:
 
 
 class SCElement:
-    """Sparse rational combination of canonical monomials; its stored
-    coefficients are non-zero and canonical as ``linalg.rational`` makes
-    them."""
+    """Sparse rational combination of canonical monomials."""
 
     __slots__ = ("terms",)
 
@@ -132,8 +130,7 @@ def _flat(terms: dict[Monomial, Scalar]) -> tuple:
 
 
 def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-    """``terms`` without zeros, its coefficients canonical as in
-    ``SCElement``, so that memoized terms stay on the int path."""
+    # canonical like SCElement's, so memoized terms stay on the int path
     return {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
 
 
