@@ -117,7 +117,7 @@ def cmd_build(args) -> int:
         _emit({"command": "build", "file": args.file}, err.report, args.json,
               ["build refused: input fails the Courant checks"])
         return 1
-    V = assemble_view(q, min(args.max_degree, 2) if args.small_view else None)
+    V = assemble_view(q)
     text = print_file(view_to_file(V, meta={"cutoff": str(V.cutoff)}))
     if args.json:
         _emit({"command": "build", "file": args.file, "output": text, "stats": q.stats()},
@@ -224,8 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--max-degree", type=int, default=4)
     p.add_argument("--out")
-    p.add_argument("--small-view", action="store_true",
-                   help="emit only degrees up to 2 (enough for extraction)")
     common(p)
     p.set_defaults(fn=cmd_build)
 

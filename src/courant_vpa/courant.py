@@ -82,9 +82,6 @@ class CourantAlgebroid:
             raise ValueError("partial must map A -> B")
 
     # convenience evaluators
-    def mul(self, a: Vector, b: Vector) -> Vector:
-        return bilin_apply(self.A.mult, a, b)
-
     def act(self, a: Vector, u: Vector) -> Vector:
         return bilin_apply(self.action, a, u)
 

@@ -545,10 +545,10 @@ class CourantQuotient:
         return u
 
     def embed_a(self, v: Vector) -> SCElement:
-        return SCElement({(("a", i),): c for i, c in v.items})
+        return self.vlie.from_a(v)
 
     def embed_b(self, v: Vector) -> SCElement:
-        return SCElement({(("b", 0, i),): c for i, c in v.items})
+        return self.vlie.from_b(v)
 
     def multiply(self, u: SCElement, v: SCElement) -> SCElement:
         return self.reduce(self.sym.multiply(u, v))

@@ -1,15 +1,20 @@
 """The graded vertex Lie algebra generated by a 1-truncated conformal
 algebra, computed in quotient normal form.
 
-Elements live in the span of A (degree 0) and D^n(b) for b in B (degree
-n + 1).  The defining relation D^n(pa) = D^(n+1)(a) is applied eagerly, so
-D-powers of degree-0 generators are never materialized; products respect
-the relation, which makes computing in normal form sound.
+The vertex Lie algebra is the single-factor part of the symmetric
+algebra of ``vpa``, and its elements are that algebra's element type:
+an ``SCElement`` whose monomials each hold one factor, ``("a", i)`` for
+the i-th basis vector of A (degree 0) or ``("b", n, i)`` for D^n of the
+i-th basis vector of B (degree n + 1).  The defining relation
+D^n(pa) = D^(n+1)(a) is applied eagerly, so D-powers of degree-0
+generators are never materialized; products respect the relation, which
+makes computing in normal form sound.
 
 The i-th products are realized twice, deliberately:
 
-* ``product`` uses the closed formulas for generator pairs
-  (first argument a plain generator, second argument D^n of one):
+* ``product`` expands bilinearly over basis factors and reads each
+  ``generator_product`` off the closed formulas (first argument a plain
+  generator, second argument D^n of one):
 
       a_i (D^n b)  = (n!/(n-i)!) D^(n-i)(a_0 b)            0 <= i <= n
       b_i (D^n a)  = (n!/(n-i)!) D^(n-i)(b_0 a)            0 <= i <= n
@@ -34,88 +39,119 @@ The i-th products are realized twice, deliberately:
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial
 
 from . import laws
-from .linalg import Vector, bilin_apply, format_vector, map_apply, rational
+from .linalg import Scalar, Vector, bilin_apply, map_apply, rational
 from .reports import CheckReport, Violation
 from .tca import OneTruncatedConformalAlgebra
 
 MODULE = "vlie"
+
+Factor = tuple
+Monomial = tuple
 
 
 class CutoffError(RuntimeError):
     """A computation would create a component above the degree cutoff."""
 
 
-class CElement:
-    """Normal-form element: a degree-0 part in A plus D^n(B) parts.
+def factor_degree(f: Factor) -> int:
+    return 0 if f[0] == "a" else f[1] + 1
 
-    ``b_parts[n]`` is a vector in B standing for a D^n(...) contribution in
-    degree n + 1.  Canonical form stores no zero vectors, so structural
-    equality is equality in the quotient.
-    """
 
-    __slots__ = ("a_part", "b_parts")
+@lru_cache(maxsize=None)
+def mono_degree(m: Monomial) -> int:
+    return sum(factor_degree(f) for f in m)
 
-    def __init__(self, a_part: Vector, b_parts: dict[int, Vector] | None = None):
-        bp = {}
-        for n, v in (b_parts or {}).items():
-            if n < 0:
-                raise ValueError("negative D-power")
-            if not v.is_zero():
-                bp[n] = v
-        self.a_part = a_part
-        self.b_parts = bp
+
+class SCElement:
+    """Sparse rational combination of canonical monomials."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms: dict[Monomial, Scalar]):
+        self.terms = {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
 
     def is_zero(self) -> bool:
-        return self.a_part.is_zero() and not self.b_parts
+        return not self.terms
 
-    def degrees(self) -> list[int]:
-        out = [] if self.a_part.is_zero() else [0]
-        out.extend(n + 1 for n in sorted(self.b_parts))
-        return out
+    def degrees(self) -> set[int]:
+        return {mono_degree(m) for m in self.terms}
 
     def max_degree(self) -> int:
-        degs = self.degrees()
-        return max(degs) if degs else 0
-
-    def _key(self):
-        return (self.a_part, tuple(sorted(self.b_parts.items())))
+        return max((mono_degree(m) for m in self.terms), default=0)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CElement) and self._key() == other._key()
+        return isinstance(other, SCElement) and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(frozenset(self.terms.items()))
 
-    def __add__(self, other: "CElement") -> "CElement":
-        bp = dict(self.b_parts)
-        for n, v in other.b_parts.items():
-            bp[n] = bp[n] + v if n in bp else v
-        return CElement(self.a_part + other.a_part, bp)
+    def __add__(self, other: "SCElement") -> "SCElement":
+        out = dict(self.terms)
+        for m, c in other.terms.items():
+            out[m] = out[m] + c if m in out else c
+        return SCElement(out)
 
-    def __sub__(self, other: "CElement") -> "CElement":
+    def __sub__(self, other: "SCElement") -> "SCElement":
         return self + other.scale(-1)
 
-    def __neg__(self) -> "CElement":
+    def __neg__(self) -> "SCElement":
         return self.scale(-1)
 
-    def scale(self, f) -> "CElement":
-        f = rational(f)
-        return CElement(self.a_part.scale(f), {n: v.scale(f) for n, v in self.b_parts.items()})
+    def scale(self, f) -> "SCElement":
+        if type(f) is not int:
+            f = rational(f)
+        if f == 0:
+            return SCElement({})
+        return SCElement({m: c * f for m, c in self.terms.items()})
 
     def __repr__(self) -> str:
-        return "CElement(%s)" % format_celement(self)
+        return "SCElement(%s)" % self.terms
 
 
-def format_celement(c: CElement) -> str:
+def combine(terms) -> SCElement:
+    """sum of coef * elem over (coef, elem) pairs."""
+    acc: dict[Monomial, Scalar] = {}
+    for coef, u in terms:
+        for m, c in u.terms.items():
+            if coef != 1:
+                c = c * coef
+            acc[m] = acc[m] + c if m in acc else c
+    return SCElement(acc)
+
+
+def format_monomial(alg, m: Monomial) -> str:
+    """``m`` in the labels of ``alg.A`` and ``alg.B``: ``1`` for the empty
+    monomial, else its factors joined by ``.``."""
+    if not m:
+        return "1"
     parts = []
-    if not c.a_part.is_zero():
-        parts.append(format_vector(c.a_part))
-    for n in sorted(c.b_parts):
-        parts.append("D%d[%s]" % (n, format_vector(c.b_parts[n])))
-    return " + ".join(parts) if parts else "0"
+    for f in m:
+        if f[0] == "a":
+            parts.append(alg.A.basis[f[1]])
+        else:
+            parts.append("D%d[%s]" % (f[1], alg.B.basis[f[2]]))
+    return ".".join(parts)
+
+
+def format_element(alg, u: SCElement) -> str:
+    if u.is_zero():
+        return "0"
+    bits = []
+    for m in sorted(u.terms, key=lambda m: (mono_degree(m), m)):
+        bits.append("%s*%s" % (u.terms[m], format_monomial(alg, m)))
+    return " + ".join(bits)
+
+
+def _a_element(v: Vector) -> SCElement:
+    return SCElement({(("a", i),): c for i, c in v.items})
+
+
+def _b_element(v: Vector, n: int) -> SCElement:
+    return SCElement({(("b", n, i),): c for i, c in v.items})
 
 
 class VertexLie:
@@ -130,24 +166,26 @@ class VertexLie:
         self.A = tca.C0
         self.B = tca.C1
         self.cutoff = cutoff
-        self._prod_cache: dict = {}
+        self._gen_cache: dict[tuple[int, Factor, Factor], SCElement] = {}
 
     # -- element constructors ------------------------------------------
 
-    def zero(self) -> CElement:
-        return CElement(self.A.zero())
+    def zero(self) -> SCElement:
+        return SCElement({})
 
-    def from_a(self, v: Vector) -> CElement:
+    def from_a(self, v: Vector) -> SCElement:
         if v.space != self.A:
             raise ValueError("vector not in the degree-0 space")
-        return CElement(v)
+        return _a_element(v)
 
-    def from_b(self, v: Vector, n: int = 0) -> CElement:
+    def from_b(self, v: Vector, n: int = 0) -> SCElement:
         if v.space != self.B:
             raise ValueError("vector not in B")
+        if n < 0:
+            raise ValueError("negative D-power")
         if n + 1 > self.cutoff:
             raise CutoffError("D^%d(b) has degree %d > cutoff %d" % (n, n + 1, self.cutoff))
-        return CElement(self.A.zero(), {n: v})
+        return _b_element(v, n)
 
     def basis_elements(self, max_degree: int | None = None):
         """Normal-form basis with labels: A-basis then D^n of the B-basis."""
@@ -160,135 +198,124 @@ class VertexLie:
 
     # -- the translation operator ---------------------------------------
 
-    def d(self, c: CElement) -> CElement:
+    def d(self, c: SCElement) -> SCElement:
         """D: shifts D^n(b) to D^(n+1)(b) and sends a to pa at D^0."""
         if c.max_degree() + 1 > self.cutoff:
             raise CutoffError("D would exceed cutoff %d" % self.cutoff)
-        bp = {n + 1: v for n, v in c.b_parts.items()}
-        if not c.a_part.is_zero():
-            pa = map_apply(self.tca.partial, c.a_part)
-            bp[0] = bp[0] + pa if 0 in bp else pa
-        return CElement(self.A.zero(), bp)
+        acc: dict[Monomial, Scalar] = {}
+        for (f,), coef in c.terms.items():
+            if f[0] == "b":  # shifts never collide, nor land on D^0
+                acc[(("b", f[1] + 1, f[2]),)] = coef
+                continue
+            for j, w in self.tca.partial.columns[f[1]].items:
+                m = (("b", 0, j),)
+                acc[m] = acc.get(m, 0) + coef * w
+        return SCElement(acc)
 
-    def combine(self, terms) -> CElement:
-        """sum of coef * elem over (coef, elem) pairs."""
-        out = self.zero()
-        for coef, c in terms:
-            out = out + c.scale(coef)
-        return out
+    combine = staticmethod(combine)
 
-    def d_pow(self, c: CElement, k: int) -> CElement:
+    def d_pow(self, c: SCElement, k: int) -> SCElement:
         for _ in range(k):
             c = self.d(c)
         return c
 
     # -- closed-form products -------------------------------------------
 
-    def _lift_a(self, v: Vector, k: int) -> CElement:
+    def _lift_a(self, v: Vector, k: int) -> SCElement:
         """D^k of a degree-0 vector, in normal form."""
         if v.is_zero():
             return self.zero()
         if k == 0:
-            return CElement(v)
+            return _a_element(v)
         if k > self.cutoff:
             raise CutoffError("component degree %d > cutoff %d" % (k, self.cutoff))
-        return CElement(self.A.zero(), {k - 1: map_apply(self.tca.partial, v)})
+        return _b_element(map_apply(self.tca.partial, v), k - 1)
 
-    def _lift_b(self, v: Vector, n: int) -> CElement:
+    def _lift_b(self, v: Vector, n: int) -> SCElement:
         if v.is_zero():
             return self.zero()
         if n + 1 > self.cutoff:
             raise CutoffError("component degree %d > cutoff %d" % (n + 1, self.cutoff))
-        return CElement(self.A.zero(), {n: v})
+        return _b_element(v, n)
 
-    def _gen_product(self, i: int, first: tuple, second: tuple) -> CElement:
-        """i-th product of D-power generators.
+    def generator_product(self, i: int, f: Factor, g: Factor) -> SCElement:
+        """f_i g for two basis factors by the closed formulas, evaluated
+        once per (i, f, g) for the algebra's lifetime; a raise is never
+        stored."""
+        key = (i, f, g)
+        got = self._gen_cache.get(key)
+        if got is None:
+            got = self._gen_cache[key] = self._closed_form(i, f, g)
+        return got
 
-        ``first``/``second`` are ('a', vec) or ('b', n, vec); 'a' carries no
-        D-power since D(a) is already a 'b' shape in normal form.
-        """
+    def _closed_form(self, i: int, f: Factor, g: Factor) -> SCElement:
         T = self.tca
         # every factorial quotient below is an integer, so // is exact
-        if first[0] == "a":
-            a = first[1]
-            if second[0] == "a":
+        if f[0] == "a":
+            if g[0] == "a":
                 return self.zero()
-            _, n, b = second
+            _, n, b = g
             if i > n:
                 return self.zero()
-            w = bilin_apply(T.p0_01, a, b)  # a_0 b, degree 0
             coef = factorial(n) // factorial(n - i)
-            return self._lift_a(w, n - i).scale(coef)
-        _, nu, b = first
-        if second[0] == "a":
+            return self._lift_a(T.p0_01.table[f[1]][b], n - i).scale(coef)  # a_0 b, degree 0
+        _, nu, b = f
+        if g[0] == "a":
             # (D^nu b)_i a = (-1)^nu (i!/(i-nu)!) b_(i-nu) a; only j = 0 survives
             if i != nu:
                 return self.zero()
-            w = bilin_apply(T.p0_10, b, second[1])
-            return CElement(w.scale((-1) ** nu * factorial(nu)))
-        _, m, b2 = second
+            return self._lift_a(T.p0_10.table[b][g[1]], 0).scale((-1) ** nu * factorial(nu))
+        _, m, b2 = g
         j = i - nu
         if j < 0:
             return self.zero()
         sign = (-1) ** nu * (factorial(i) // factorial(j))
         out = self.zero()
         if j <= m:
-            w0 = bilin_apply(T.p0_11, b, b2)  # degree 1 value
             c0 = sign * (factorial(m) // factorial(m - j))
-            out = out + self._lift_b(w0, m - j).scale(c0)
+            out = out + self._lift_b(T.p0_11.table[b][b2], m - j).scale(c0)  # degree 1 value
         if 1 <= j <= m + 1:
-            w1 = bilin_apply(T.p1_11, b, b2)  # degree 0 value
             c1 = sign * (j * factorial(m) // factorial(m - j + 1))
-            out = out + self._lift_a(w1, m - j + 1).scale(c1)
+            out = out + self._lift_a(T.p1_11.table[b][b2], m - j + 1).scale(c1)  # degree 0 value
         return out
 
-    def product(self, i: int, u: CElement, v: CElement) -> CElement:
-        """The i-th product u_i v, bilinear over the normal-form parts."""
+    def product(self, i: int, u: SCElement, v: SCElement) -> SCElement:
+        """The i-th product u_i v, bilinear over the basis factors."""
         if i < 0:
             raise ValueError("product index must be nonnegative")
-        firsts = []
-        if not u.a_part.is_zero():
-            firsts.append(("a", u.a_part))
-        firsts.extend(("b", n, w) for n, w in u.b_parts.items())
-        seconds = []
-        if not v.a_part.is_zero():
-            seconds.append(("a", v.a_part))
-        seconds.extend(("b", n, w) for n, w in v.b_parts.items())
-        out = self.zero()
-        for f in firsts:
-            for s in seconds:
-                key = (i, f, s)
-                cached = self._prod_cache.get(key)
-                if cached is None:
-                    cached = self._gen_product(i, f, s)
-                    self._prod_cache[key] = cached
-                out = out + cached
-        return out
+        acc: dict[Monomial, Scalar] = {}
+        for (f,), cu in u.terms.items():
+            for (g,), cv in v.terms.items():
+                c = cu * cv
+                for m, w in self.generator_product(i, f, g).terms.items():
+                    w = w * c
+                    acc[m] = acc[m] + w if m in acc else w
+        return SCElement(acc)
 
     # -- the series oracle ------------------------------------------------
     #
-    # Laurent polynomials are dicts {exponent: CElement}, always purely
+    # Laurent polynomials are dicts {exponent: SCElement}, always purely
     # singular (exponents <= -1).  Sing after e^(xD) commutes with the
     # later Sing projections, which is what makes staged evaluation sound.
 
-    def _series_base(self, fu: tuple, fv: tuple) -> dict[int, CElement]:
+    def _series_base(self, fu: tuple, fv: tuple) -> dict[int, SCElement]:
         """Y(u, x) v for plain generators: the defining product tables."""
         T = self.tca
         if fu[0] == "a":
             if fv[0] == "a":
                 return {}
             w = bilin_apply(T.p0_01, fu[1], fv[1])
-            return _trim({-1: CElement(w)})
+            return _trim({-1: _a_element(w)})
         if fv[0] == "a":
             w = bilin_apply(T.p0_10, fu[1], fv[1])
-            return _trim({-1: CElement(w)})
+            return _trim({-1: _a_element(w)})
         w0 = bilin_apply(T.p0_11, fu[1], fv[1])
         w1 = bilin_apply(T.p1_11, fu[1], fv[1])
-        return _trim({-1: CElement(self.A.zero(), {0: w0}), -2: CElement(w1)})
+        return _trim({-1: _b_element(w0, 0), -2: _a_element(w1)})
 
-    def _sing_exp_d(self, s: dict[int, CElement]) -> dict[int, CElement]:
+    def _sing_exp_d(self, s: dict[int, SCElement]) -> dict[int, SCElement]:
         """Sing(e^(xD) s) for a purely singular s."""
-        out: dict[int, CElement] = {}
+        out: dict[int, SCElement] = {}
         for k, c in s.items():
             term = c
             for j in range(0, -k):
@@ -300,14 +327,14 @@ class VertexLie:
                     out[e] = out[e] + add if e in out else add
         return _trim(out)
 
-    def _series_gen_dv(self, fu: tuple, n: int, fv: tuple) -> dict[int, CElement]:
+    def _series_gen_dv(self, fu: tuple, n: int, fv: tuple) -> dict[int, SCElement]:
         """Y(u, x) D^n v = Sing(e^(xD) (-d/dx)^n Y(v, -x) u)."""
         s = _subst_neg(self._series_base(fv, fu))
         for _ in range(n):
             s = _neg_ddx(s)
         return self._sing_exp_d(s)
 
-    def sing_oracle(self, i: int, u: tuple, v: tuple) -> CElement:
+    def sing_oracle(self, i: int, u: tuple, v: tuple) -> SCElement:
         """(D^n u)_i (D^m v) computed purely through the series identity.
 
         ``u`` and ``v`` are ('a', vec) (degree 0, no D-power) or
@@ -322,16 +349,16 @@ class VertexLie:
         return series.get(-i - 1, self.zero())
 
 
-def _trim(s: dict[int, CElement]) -> dict[int, CElement]:
+def _trim(s: dict[int, SCElement]) -> dict[int, SCElement]:
     return {k: c for k, c in s.items() if not c.is_zero()}
 
 
-def _subst_neg(s: dict[int, CElement]) -> dict[int, CElement]:
+def _subst_neg(s: dict[int, SCElement]) -> dict[int, SCElement]:
     """x -> -x on a Laurent polynomial."""
     return {k: (c if k % 2 == 0 else c.scale(-1)) for k, c in s.items()}
 
 
-def _neg_ddx(s: dict[int, CElement]) -> dict[int, CElement]:
+def _neg_ddx(s: dict[int, SCElement]) -> dict[int, SCElement]:
     out = {}
     for k, c in s.items():
         if k != 0:
@@ -355,6 +382,7 @@ def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
     elems = [(l, e, e.max_degree()) for l, e in inst.basis_elements()]
     pairs = [(x, y) for x in elems for y in elems if x[2] + y[2] <= top]
     triples = [(x, y, [z for z in elems if x[2] + y[2] + z[2] <= top]) for x, y in pairs]
+    fmt = lambda u: format_element(inst, u)
 
     def dims_part():
         out = []
@@ -367,8 +395,8 @@ def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
         return out
 
     return CheckReport(
-        laws.check_pair_laws(inst, MODULE, format_celement, top, inst.cutoff, pairs)
-        + laws.check_ha(inst, MODULE, format_celement, top, triples)
+        laws.check_pair_laws(inst, MODULE, fmt, top, inst.cutoff, pairs)
+        + laws.check_ha(inst, MODULE, fmt, top, triples)
         + dims_part()
     )
 
@@ -384,7 +412,7 @@ def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckR
         for l in inst.B.basis:
             gens.append(("D%d[%s]" % (n, l), ("b", n, inst.B.unit_vector(l)), n + 1))
 
-    def as_element(spec) -> CElement:
+    def as_element(spec) -> SCElement:
         if spec[0] == "a":
             return inst.from_a(spec[1])
         return inst.from_b(spec[2], spec[1])
@@ -400,7 +428,8 @@ def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckR
                 closed = inst.product(i, eu, ev)
                 oracle = inst.sing_oracle(i, su, sv)
                 if closed != oracle:
-                    out.append(
-                        Violation(MODULE, "oracle", (lu, lv, "i=%d" % i), format_celement(closed), format_celement(oracle))
-                    )
+                    out.append(Violation(
+                        MODULE, "oracle", (lu, lv, "i=%d" % i),
+                        format_element(inst, closed), format_element(inst, oracle),
+                    ))
     return CheckReport(out)

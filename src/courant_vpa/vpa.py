@@ -1,6 +1,9 @@
 """The truncated graded symmetric algebra over the vertex Lie algebra,
 with its derivation D and the extended n-th products.
 
+Elements are ``vlie.SCElement``s, the one element type of both layers:
+the vertex Lie algebra is the single-factor part of this algebra, and
+its generator products are the base of the n-th products here.
 Monomials are multisets of normal-form generators: an A-basis label
 (degree 0) or D^n of a B-basis label (degree n + 1), kept in a fixed
 canonical order so that structural equality of the sparse term maps is
@@ -12,7 +15,7 @@ report never hides truncation.
 The n-th products are evaluated by a two-step rule:
 
 * generator route: a single C-generator acts on a product of factors as a
-  derivation, through the vertex Lie products of the factors;
+  derivation, through ``VertexLie.generator_product`` on the factors;
 * skew route: a general element u acts on a single generator g through
 
       u_n g = sum_(j >= n) (-1)^(j+1) (D^(j-n) / (j-n)!) (g_j u),
@@ -35,6 +38,8 @@ quotient's relation build and view assembly, through
 ``CourantQuotient.memoized``.  A memo kept for the algebra's lifetime
 would hold every product ever asked of it: the quotient's algebra serves
 tens of thousands of products that never repeat, most of them zero.
+The generator products under both routes are few, one per index and
+pair of basis factors, and ``VertexLie`` keeps them for its lifetime.
 Failing evaluations (CutoffError) are never stored, so they raise again
 every time.
 """
@@ -43,80 +48,32 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import factorial
 
 from . import laws
 from .linalg import Scalar, rational
 from .reports import CheckReport, Violation
-from .vlie import CElement, CutoffError, VertexLie
+from .vlie import (
+    CutoffError,
+    Factor,
+    Monomial,
+    SCElement,
+    VertexLie,
+    combine,
+    factor_degree,
+    format_element,
+    format_monomial,
+    mono_degree,
+)
 
 MODULE = "vpa"
-
-Factor = tuple
-Monomial = tuple
-
-
-def factor_degree(f: Factor) -> int:
-    return 0 if f[0] == "a" else f[1] + 1
-
-
-@lru_cache(maxsize=None)
-def mono_degree(m: Monomial) -> int:
-    return sum(factor_degree(f) for f in m)
 
 
 def make_monomial(factors) -> Monomial:
     # Tuple order puts ("a", i) before every ("b", n, i) and sorts the
     # D-power factors by (n, i), so it is the canonical order by degree.
     return tuple(sorted(factors))
-
-
-class SCElement:
-    """Sparse rational combination of canonical monomials."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[Monomial, Scalar]):
-        self.terms = {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def degrees(self) -> set[int]:
-        return {mono_degree(m) for m in self.terms}
-
-    def max_degree(self) -> int:
-        return max((mono_degree(m) for m in self.terms), default=0)
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, SCElement) and self.terms == other.terms
-
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
-    def __add__(self, other: "SCElement") -> "SCElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return SCElement(out)
-
-    def __sub__(self, other: "SCElement") -> "SCElement":
-        return self + other.scale(-1)
-
-    def __neg__(self) -> "SCElement":
-        return self.scale(-1)
-
-    def scale(self, f) -> "SCElement":
-        if type(f) is not int:
-            f = rational(f)
-        if f == 0:
-            return SCElement({})
-        return SCElement({m: c * f for m, c in self.terms.items()})
-
-    def __repr__(self) -> str:
-        return "SCElement(%s)" % self.terms
 
 
 def _pairs(flat: tuple):
@@ -169,8 +126,6 @@ class SymAlgebra:
         self.A = vlie.A
         self.B = vlie.B
         self.cutoff = vlie.cutoff
-        self._factor_cache: dict[Factor, CElement] = {}
-        self._pair_cache: dict[tuple[int, Factor, Factor], SCElement] = {}
         self._memo: _Memo | None = None
 
     # -- constructors ----------------------------------------------------
@@ -192,38 +147,6 @@ class SymAlgebra:
 
     def b_gen(self, label: str, n: int = 0) -> SCElement:
         return self.monomial([("b", n, self.B.index(label))])
-
-    def from_celement(self, c: CElement) -> SCElement:
-        """Inclusion of the vertex Lie algebra as the single-factor part."""
-        out: dict[Monomial, Scalar] = {}
-        for i, coef in c.a_part.items:
-            out[(("a", i),)] = coef
-        for n, vec in c.b_parts.items():
-            if n + 1 > self.cutoff:
-                raise CutoffError("degree %d > cutoff" % (n + 1))
-            for i, coef in vec.items:
-                out[(("b", n, i),)] = coef
-        return SCElement(out)
-
-    def factor_celement(self, f: Factor) -> CElement:
-        got = self._factor_cache.get(f)
-        if got is None:
-            if f[0] == "a":
-                got = self.vlie.from_a(self.A.unit_vector(self.A.basis[f[1]]))
-            else:
-                got = self.vlie.from_b(self.B.unit_vector(self.B.basis[f[2]]), f[1])
-            self._factor_cache[f] = got
-        return got
-
-    def _gen_pair(self, n: int, g: Factor, f: Factor) -> SCElement:
-        """g_n f for two generators, as an element of the symmetric algebra."""
-        key = (n, g, f)
-        got = self._pair_cache.get(key)
-        if got is None:
-            w = self.vlie.product(n, self.factor_celement(g), self.factor_celement(f))
-            got = self.from_celement(w)
-            self._pair_cache[key] = got
-        return got
 
     def generators(self, max_degree: int | None = None) -> list[tuple[str, Factor]]:
         top = self.cutoff if max_degree is None else min(max_degree, self.cutoff)
@@ -274,13 +197,7 @@ class SymAlgebra:
             else:
                 acc[t] = c
 
-    def combine(self, terms) -> SCElement:
-        """sum of coef * elem over (coef, elem) pairs."""
-        acc: dict[Monomial, Scalar] = {}
-        for coef, u in terms:
-            if u.terms:
-                self._add_times(acc, u.terms.items(), (), coef)
-        return SCElement(acc)
+    combine = staticmethod(combine)
 
     def _d_monomial(self, m: Monomial) -> tuple:
         """D of one monomial by Leibniz over its factors, as flat terms."""
@@ -291,8 +208,8 @@ class SymAlgebra:
                 return got
         acc: dict[Monomial, Scalar] = {}
         for k, f in enumerate(m):
-            df = self.from_celement(self.vlie.d(self.factor_celement(f)))
-            self._add_times(acc, df.terms.items(), m[:k] + m[k + 1 :])
+            df = self.vlie.d(SCElement({(f,): 1})).terms
+            self._add_times(acc, df.items(), m[:k] + m[k + 1 :])
         if memo is None:
             return _flat(acc)
         got = memo.d[m] = memo.freeze(acc)
@@ -358,7 +275,7 @@ class SymAlgebra:
         """Generator route: g acts as a derivation over the factors of m."""
         acc: dict[Monomial, Scalar] = {}
         for k, f in enumerate(m):
-            w = self._gen_pair(n, g, f).terms
+            w = self.vlie.generator_product(n, g, f).terms
             if w:
                 self._add_times(acc, w.items(), m[:k] + m[k + 1 :])
         return _nonzero(acc)
@@ -403,27 +320,6 @@ class SymAlgebra:
 
 
 # -- spanning checks --------------------------------------------------------
-
-
-def format_monomial(sym: SymAlgebra, m: Monomial) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for f in m:
-        if f[0] == "a":
-            parts.append(sym.A.basis[f[1]])
-        else:
-            parts.append("D%d[%s]" % (f[1], sym.B.basis[f[2]]))
-    return ".".join(parts)
-
-
-def format_element(sym: SymAlgebra, u: SCElement) -> str:
-    if u.is_zero():
-        return "0"
-    bits = []
-    for m in sorted(u.terms, key=lambda m: (mono_degree(m), m)):
-        bits.append("%s*%s" % (u.terms[m], format_monomial(sym, m)))
-    return " + ".join(bits)
 
 
 def _sample(seq, limit):

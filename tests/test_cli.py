@@ -110,7 +110,7 @@ def test_roundtrip_json(capsys):
 def test_build_then_extract(tmp_path, capsys):
     built = tmp_path / "heis_vpa.cvpa"
     code, _, _ = run(capsys, "build", fixture_path("heisenberg.cvpa"),
-                     "--max-degree", "3", "--small-view", "--out", str(built))
+                     "--max-degree", "2", "--out", str(built))
     assert code == 0
     sf = parse(built.read_text())
     assert sf.kind == "graded-vpa"
@@ -120,6 +120,22 @@ def test_build_then_extract(tmp_path, capsys):
     back = parse(extracted.read_text()).courant()
     from courant_vpa.examples import example
     assert back.pairing == example("heisenberg").pairing
+
+
+def test_extract_of_a_bad_unit_view_fails_with_exit_1(tmp_path, capsys):
+    from courant_vpa.examples import example
+    from courant_vpa.fileformat import view_to_file
+    from courant_vpa.graded import GradedVpaView, assemble_view
+    from courant_vpa.quotient import CourantQuotient
+
+    V = assemble_view(CourantQuotient(example("heisenberg"), 2))
+    bad = GradedVpaView(spaces=V.spaces, unit=V.unit.scale(2), d=V.d, mult=V.mult, prod=V.prod)
+    path = tmp_path / "bad_unit.cvpa"
+    path.write_text(print_file(view_to_file(bad, meta={"cutoff": "2"})))
+    code, out, _ = run(capsys, "extract", str(path))
+    assert code == 1
+    assert "extraction FAIL" in out
+    assert "courant/A.unit at (a=e): lhs=2*e rhs=e" in out
 
 
 def test_examples_list_and_emit(tmp_path, capsys):

@@ -51,12 +51,15 @@ def test_view_grading_shapes_validated():
 
 
 def test_unit_failure_is_named():
+    # a wrong unit is a shape-valid view: it extracts, and the Courant
+    # checker names the violation
     V = view_for("heisenberg")
     bad_unit = V.unit.scale(2)
     broken = GradedVpaView(spaces=V.spaces, unit=bad_unit, d=V.d, mult=V.mult, prod=V.prod)
-    with pytest.raises(StructureError) as err:
-        validate_view(broken)
-    assert "mult[0,0]" in str(err.value)
+    validate_view(broken)
+    rep = check_courant(extract_courant(broken))
+    unit = [v for v in rep.violations if v.axiom == "A.unit"]
+    assert [(v.tuple, v.lhs, v.rhs) for v in unit] == [(("a=e",), "2*e", "e")]
 
 
 def test_injected_derivation_law_violation_extracts_but_fails_courant():

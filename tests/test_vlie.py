@@ -7,6 +7,7 @@ from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
 from courant_vpa.vlie import (
     CutoffError,
+    SCElement,
     VertexLie,
     check_oracle_agreement,
     check_vertex_lie,
@@ -195,3 +196,33 @@ def test_oracle_cutoff_error_on_overflowing_series():
     dx = inst.B.unit_vector("dx")
     with pytest.raises(CutoffError):
         inst.sing_oracle(0, ("b", 1, xD), ("b", 1, dx))
+
+
+def test_broken_heisenberg_report_is_pinned():
+    # [beta, beta] = beta breaks skew symmetry; the report prints elements
+    # as the symmetric algebra does, one coefficient per basis factor
+    from test_vpa import broken_heisenberg
+
+    rep = check_vertex_lie(VertexLie(broken_heisenberg(), 3))
+    assert [str(v) for v in rep.violations] == [
+        "vlie/ha at (D0[beta], D0[beta], D0[beta], m=0, n=0): lhs=0 rhs=1*D0[beta]",
+        "vlie/ha at (D0[beta], D0[beta], D0[beta], m=0, n=1): lhs=-1*e rhs=1*e",
+        "vlie/hs at (D0[beta], D0[beta], n=0): lhs=1*D0[beta] rhs=-1*D0[beta]",
+        "vlie/hs at (D0[beta], D1[beta], n=0): lhs=1*D1[beta] rhs=-1*D1[beta]",
+        "vlie/hs at (D0[beta], D1[beta], n=1): lhs=1*D0[beta] rhs=-1*D0[beta]",
+        "vlie/hs at (D1[beta], D0[beta], n=1): lhs=-1*D0[beta] rhs=1*D0[beta]",
+    ]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "exact(2)"])
+def test_elements_are_single_factor_sc_elements(name):
+    inst = make(name, cutoff=3)
+    elems = [e for _, e in inst.basis_elements()]
+    specs = [("a", v) for v in inst.A.basis_vectors()]
+    specs += [("b", n, v) for n in range(2) for v in inst.B.basis_vectors()]
+    got = [inst.zero(), inst.combine([(2, e) for e in elems])]
+    got += elems + [inst.d(e) for e in elems if e.max_degree() < inst.cutoff]
+    got += [inst.product(i, u, v) for u in elems for v in elems for i in range(3)]
+    got += [inst.sing_oracle(i, u, v) for u in specs for v in specs for i in range(3)]
+    assert all(type(e) is SCElement for e in got)
+    assert all(len(m) == 1 for e in got for m in e.terms)
