@@ -23,6 +23,7 @@ from .linalg import (
     LinearMap,
     Vector,
     bilin_apply,
+    columns,
     format_vector,
     lin_comb,
     map_apply,
@@ -110,11 +111,6 @@ def differing_tables(X: CourantAlgebroid, Y: CourantAlgebroid) -> dict[str, tupl
     return {name: pair for name, pair in tables.items() if pair[0] != pair[1]}
 
 
-def _columns(b: BilinearMap) -> list[list[Vector]]:
-    """Column j of b's table, b(., e_j) on the left basis, for every j."""
-    return [[row[j] for row in b.table] for j in range(b.right.dim)]
-
-
 def _first(parts, limit: int | None) -> CheckReport:
     """The violations of the generators ``parts`` in turn, up to ``limit``."""
     found = []
@@ -149,7 +145,7 @@ def check_courant(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
     avec, bvec = X.A.space.basis_vectors(), X.B.basis_vectors()
     e, zA, zB = X.A.unit, X.A.space.zero(), X.B.zero()
     M, Act, Brk, Anc, Pair = (t.table for t in (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
-    Mc, Actc, Brkc, Ancc, Pairc = map(_columns, (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
+    Mc, Actc, Brkc, Ancc, Pairc = map(columns, (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
     D = X.partial.columns
 
     def alg_part():
@@ -267,7 +263,7 @@ def check_annihilation(X: CourantAlgebroid) -> CheckReport:
     la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
     zA, zB = X.A.space.zero(), X.B.zero()
     Brk, Anc, D = X.bracket.table, X.anchor.table, X.partial.columns
-    Brkc, Ancc = _columns(X.bracket), _columns(X.anchor)
+    Brkc, Ancc = columns(X.bracket), columns(X.anchor)
     for i in range(len(la)):
         for p in range(len(lu)):
             lhs = lin_comb(Brkc[p], D[i], zB)
@@ -298,7 +294,7 @@ def check_compat(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
     ra, rb = range(len(la)), range(len(lu))
     e, zA, zB = X.A.unit, X.A.space.zero(), X.B.zero()
     M, Act, Brk, Anc, Pair = (t.table for t in (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
-    Mc, Actc, Ancc, Pairc = map(_columns, (X.A.mult, X.action, X.anchor, X.pairing))
+    Mc, Actc, Ancc, Pairc = map(columns, (X.A.mult, X.action, X.anchor, X.pairing))
 
     def part():
         for p in rb:

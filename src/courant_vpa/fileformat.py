@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra
 from .graded import GradedVpaView
-from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, scalar_from_str, scalar_to_str
+from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, format_vector, scalar_from_str
 from .tca import OneTruncatedConformalAlgebra
 
 LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
@@ -406,21 +406,6 @@ def parse(text: str) -> StructureFile:
 # -- canonical printing -------------------------------------------------------
 
 
-def _expr_str(v: Vector) -> str:
-    if v.is_zero():
-        return "0"
-    parts = []
-    for i, c in v.items:
-        label = v.space.basis[i]
-        mag = abs(c)
-        body = label if mag == 1 else "%s*%s" % (scalar_to_str(mag), label)
-        if not parts:
-            parts.append(body if c > 0 else "-" + body)
-        else:
-            parts.append(("+ " if c > 0 else "- ") + body)
-    return " ".join(parts)
-
-
 def print_file(sf: StructureFile) -> str:
     out = []
     for k in sorted(sf.meta):
@@ -434,7 +419,7 @@ def print_file(sf: StructureFile) -> str:
         out.append("MAP %s %s %s" % (name, m.domain.name, m.codomain.name))
         for label, col in zip(m.domain.basis, m.columns):
             if not col.is_zero():
-                out.append("  %s -> %s" % (label, _expr_str(col)))
+                out.append("  %s -> %s" % (label, format_vector(col)))
     for name, b in sf.products.items():
         out.append("")
         flag = " symmetric" if b.symmetric else (" antisymmetric" if b.antisymmetric else "")
@@ -443,12 +428,12 @@ def print_file(sf: StructureFile) -> str:
             for j, l2 in enumerate(b.right.basis):
                 v = b.table[i][j]
                 if not v.is_zero():
-                    out.append("  (%s,%s) -> %s" % (l1, l2, _expr_str(v)))
+                    out.append("  (%s,%s) -> %s" % (l1, l2, format_vector(v)))
     out.append("")
     out.append("STRUCTURE %s" % sf.kind)
     for key, (_, table, _) in SCHEMA[sf.kind].items():
         for degs, v in sf.bindings.get(key, {}).items():
-            out.append("  %s" % " ".join([key, *map(str, degs), v if table else _expr_str(v)]))
+            out.append("  %s" % " ".join([key, *map(str, degs), v if table else format_vector(v)]))
     out.append("")
     return "\n".join(out)
 

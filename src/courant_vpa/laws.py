@@ -11,10 +11,9 @@ each stated once:
 Here p, q, r are the degrees of u, v, w.  An algebra backend supplies
 ``product(n, u, v)``, ``d(u)``, ``zero()`` and ``combine([(coef, elem),
 ...])``; its elements compare by value, list their ``degrees()`` and
-answer ``is_zero()``.  The
-caller supplies the tuples as data: labelled elements ``(label, elem,
-degree)``, the degree ``top`` that bounds the index windows and the
-degree ``dtop`` up to which D may be applied to an argument.  Index
+answer ``is_zero()``.  The caller supplies the tuples as data: labelled
+elements ``(label, elem, degree)``, and the degree ``top`` that bounds the
+index windows and up to which D may be applied to an argument.  Index
 windows run one past the grading support, so vanishing outside the
 support is asserted too, and start where the product would leave the
 degrees ``top`` allows.  Each product is evaluated once per pair (or per
@@ -35,11 +34,11 @@ from .linalg import rational
 from .reports import Violation
 
 
-def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[Violation]:
+def check_pair_laws(alg, module: str, fmt, top: int, pairs) -> list[Violation]:
     """hs with the grading of u_n v, then hp and dcomm on each pair
     ``((lu, u, p), (lv, v, q))``, and grading.d once per element ``u``
-    (D u is computed once); hp and grading.d need p + 1 <= dtop and dcomm
-    q + 1 <= dtop."""
+    (D u is computed once); hp and grading.d need p + 1 <= top and dcomm
+    q + 1 <= top."""
     out = []
     d_of = {}  # u -> D u, keyed by value: distinct elements may share a label
     for (lu, u, p), (lv, v, q) in pairs:
@@ -64,7 +63,7 @@ def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[V
         window = range(max(0, p + q - top), p + q + 2)
         # -n u_(n-1) v, the right side of hp and dcomm
         below = {n: alg.combine([(-n, puv[n - 1])]) if n else alg.zero() for n in window}
-        if p + 1 <= dtop:
+        if p + 1 <= top:
             du = d_of.get(u)
             if du is None:
                 du = d_of[u] = alg.d(u)
@@ -75,7 +74,7 @@ def check_pair_laws(alg, module: str, fmt, top: int, dtop: int, pairs) -> list[V
                 rhs = below[n]
                 if lhs != rhs:
                     out.append(Violation(module, "hp", (lu, lv, "n=%d" % n), fmt(lhs), fmt(rhs)))
-        if q + 1 <= dtop:
+        if q + 1 <= top:
             dv = alg.d(v)
             for n in window:
                 lhs = alg.combine([(1, alg.d(puv[n])), (-1, alg.product(n, u, dv))])

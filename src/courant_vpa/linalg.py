@@ -336,6 +336,11 @@ def lin_comb(vectors, x: Vector, zero: Vector) -> Vector:
     return Vector._trusted(zero.space, out)
 
 
+def columns(b: "BilinearMap") -> list[list[Vector]]:
+    """Column j of b's table, b(., e_j) on the left basis, for every j."""
+    return [[row[j] for row in b.table] for j in range(b.right.dim)]
+
+
 def map_apply(m: LinearMap, v: Vector) -> Vector:
     if v.space is not m.domain and v.space != m.domain:
         raise SpaceMismatch(

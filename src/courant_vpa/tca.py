@@ -14,28 +14,32 @@ Stored tables (degrees: C0 at 0, C1 at 1):
     p0_11 : C1 x C1 -> C1     u_0 v
     p1_11 : C1 x C1 -> C0     u_1 v
 
-Axioms checked, over all basis tuples (bilinearity extends each identity
-from basis tuples to the whole space, which is the soundness argument for
-every checker in this package):
+Axioms checked by check_all, over all basis tuples (bilinearity extends
+each identity from basis tuples to the whole space, which is the soundness
+argument for every checker in this package):
 
     derivation      (pa)_0 = 0,  (pa)_1 = -a_0,  p(u_0 a) = u_0 (pa)
     commutativity   u_0 a = -a_0 u,  u_0 v = -v_0 u + p(v_1 u),  u_1 v = v_1 u
     associativity   x_0 (y_i z) = y_i (x_0 z) + (x_0 y)_i z   for i = 0, 1
+
+Associativity lands in degree deg x + deg y + deg z - i - 2, so only five
+shapes are not forced to zero: (u,v,w) at i = 0 and i = 1, and (u,v,a),
+(u,a,v) and (a,u,v) at i = 0.  check_all writes each out.
+
+check_all reads the tables by basis index, as courant.check_courant does:
+b(e_i, e_j) is table[i][j], and b(e_i, x) is lin_comb(table[i], x, zero)
+(b(x, e_j) the same on linalg.columns(b)[j]).  Shapes were checked at
+construction, so this equals bilin_apply exactly.  check_leibniz_form
+restates the same structure as Leibniz-algebra data and evaluates every
+product through bilin_apply, so it shares no code path with check_all
+and each is a check on the other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import (
-    BasedSpace,
-    BilinearMap,
-    LinearMap,
-    Vector,
-    bilin_apply,
-    format_vector,
-    map_apply,
-)
+from .linalg import BasedSpace, BilinearMap, LinearMap, bilin_apply, columns, format_vector, lin_comb, map_apply
 from .reports import CheckReport, Violation
 
 MODULE = "tca"
@@ -65,128 +69,64 @@ class OneTruncatedConformalAlgebra:
                 raise ValueError("%s has wrong spaces" % name)
 
 
-def iprod(T: OneTruncatedConformalAlgebra, i: int, x: tuple[int, Vector], y: tuple[int, Vector]):
-    """i-th product of homogeneous elements (degree, vector).
-
-    Returns (degree, vector) or None for combinations forced to zero by
-    the degree rule (target degree deg x + deg y - i - 1 < 0, or no stored
-    table for the combination).
-    """
-    dx, vx = x
-    dy, vy = y
-    target = dx + dy - i - 1
-    if target < 0:
-        return None
-    if i == 0:
-        if dx == 1 and dy == 0:
-            return (0, bilin_apply(T.p0_10, vx, vy))
-        if dx == 0 and dy == 1:
-            return (0, bilin_apply(T.p0_01, vx, vy))
-        if dx == 1 and dy == 1:
-            return (1, bilin_apply(T.p0_11, vx, vy))
-        return None  # a_0 a' has target degree -1
-    if i == 1:
-        if dx == 1 and dy == 1:
-            return (0, bilin_apply(T.p1_11, vx, vy))
-        return None
-    return None
-
-
-def _value(T, i, x, y, degree):
-    """iprod coerced to a vector in the degree-``degree`` space (0 if None)."""
-    space = T.C0 if degree == 0 else T.C1
-    r = iprod(T, i, x, y)
-    if r is None:
-        return space.zero()
-    if r[0] != degree:
-        raise AssertionError("degree bookkeeping error in iprod")
-    return r[1]
-
-
-def check_derivation(T: OneTruncatedConformalAlgebra) -> CheckReport:
-    """(pa)_0 annihilates C0 (+) C1; (pa)_1 = -a_0 on C1; p(u_0 a) = u_0 (pa)."""
-    out = []
-    fmt = format_vector
-    for ia, a in enumerate(T.C0.basis_vectors()):
-        pa = map_apply(T.partial, a)
-        la = T.C0.basis[ia]
-        for ib, a2 in enumerate(T.C0.basis_vectors()):
-            lhs = bilin_apply(T.p0_10, pa, a2)
-            if not lhs.is_zero():
-                out.append(Violation(MODULE, "deriv.pa0", ("a=" + la, "a'=" + T.C0.basis[ib]), fmt(lhs), "0"))
-        for iu, u in enumerate(T.C1.basis_vectors()):
-            lu = T.C1.basis[iu]
-            lhs = bilin_apply(T.p0_11, pa, u)
-            if not lhs.is_zero():
-                out.append(Violation(MODULE, "deriv.pa0", ("a=" + la, "u=" + lu), fmt(lhs), "0"))
-            lhs = bilin_apply(T.p1_11, pa, u)
-            rhs = -bilin_apply(T.p0_01, a, u)
-            if lhs != rhs:
-                out.append(Violation(MODULE, "deriv.pa1", ("a=" + la, "u=" + lu), fmt(lhs), fmt(rhs)))
-            lhs = map_apply(T.partial, bilin_apply(T.p0_10, u, a))
-            rhs = bilin_apply(T.p0_11, u, pa)
-            if lhs != rhs:
-                out.append(Violation(MODULE, "deriv.hom", ("u=" + lu, "a=" + la), fmt(lhs), fmt(rhs)))
-    return CheckReport(out)
-
-
-def check_commutativity(T: OneTruncatedConformalAlgebra) -> CheckReport:
-    out = []
-    fmt = format_vector
-    for iu, u in enumerate(T.C1.basis_vectors()):
-        lu = T.C1.basis[iu]
-        for ia, a in enumerate(T.C0.basis_vectors()):
-            lhs = bilin_apply(T.p0_10, u, a)
-            rhs = -bilin_apply(T.p0_01, a, u)
-            if lhs != rhs:
-                out.append(Violation(MODULE, "comm.ua", ("u=" + lu, "a=" + T.C0.basis[ia]), fmt(lhs), fmt(rhs)))
-        for iv, v in enumerate(T.C1.basis_vectors()):
-            lv = T.C1.basis[iv]
-            lhs = bilin_apply(T.p0_11, u, v)
-            rhs = -bilin_apply(T.p0_11, v, u) + map_apply(T.partial, bilin_apply(T.p1_11, v, u))
-            if lhs != rhs:
-                out.append(Violation(MODULE, "comm.uv", ("u=" + lu, "v=" + lv), fmt(lhs), fmt(rhs)))
-            lhs = bilin_apply(T.p1_11, u, v)
-            rhs = bilin_apply(T.p1_11, v, u)
-            if lhs != rhs:
-                out.append(Violation(MODULE, "comm.u1v", ("u=" + lu, "v=" + lv), fmt(lhs), fmt(rhs)))
-    return CheckReport(out)
-
-
-def _graded_basis(T: OneTruncatedConformalAlgebra) -> list[tuple[str, tuple[int, Vector]]]:
-    elems = [("a=" + l, (0, v)) for l, v in zip(T.C0.basis, T.C0.basis_vectors())]
-    elems += [("u=" + l, (1, v)) for l, v in zip(T.C1.basis, T.C1.basis_vectors())]
-    return elems
-
-
-def check_associativity(T: OneTruncatedConformalAlgebra) -> CheckReport:
-    """x_0 (y_i z) = y_i (x_0 z) + (x_0 y)_i z over all graded basis triples."""
-    elems = _graded_basis(T)
-    fmt = format_vector
-    out = []
-    for lx, x in elems:
-        for ly, y in elems:
-            for lz, z in elems:
-                for i in (0, 1):
-                    target = x[0] + y[0] + z[0] - i - 2
-                    if target < 0:
-                        continue
-                    yz = iprod(T, i, y, z)
-                    lhs = _value(T, 0, x, yz, target) if yz else (T.C0 if target == 0 else T.C1).zero()
-                    xz = iprod(T, 0, x, z)
-                    t1 = _value(T, i, y, xz, target) if xz else (T.C0 if target == 0 else T.C1).zero()
-                    xy = iprod(T, 0, x, y)
-                    t2 = _value(T, i, xy, z, target) if xy else (T.C0 if target == 0 else T.C1).zero()
-                    rhs = t1 + t2
-                    if lhs != rhs:
-                        out.append(
-                            Violation(MODULE, "assoc.i%d" % i, (lx, ly, lz), fmt(lhs), fmt(rhs))
-                        )
-    return CheckReport(out)
-
-
 def check_all(T: OneTruncatedConformalAlgebra) -> CheckReport:
-    return check_derivation(T).merge(check_commutativity(T), check_associativity(T))
+    """Derivation, commutativity and the five associativity shapes, over
+    basis tuples, each identity stated once."""
+    fmt = format_vector
+    la, lu = ["a=" + l for l in T.C0.basis], ["u=" + l for l in T.C1.basis]
+    ra, rb = range(len(la)), range(len(lu))
+    z0, z1 = T.C0.zero(), T.C1.zero()
+    # u_0 a, a_0 u, u_0 v and u_1 v by basis index, and their columns
+    UA, AU, UV, U1V = (t.table for t in (T.p0_10, T.p0_01, T.p0_11, T.p1_11))
+    UAc, AUc, UVc, U1Vc = map(columns, (T.p0_10, T.p0_01, T.p0_11, T.p1_11))
+    D = T.partial.columns
+    out = []
+
+    def check(axiom, labels, lhs, rhs):
+        if lhs != rhs:
+            out.append(Violation(MODULE, axiom, labels, fmt(lhs), fmt(rhs)))
+
+    for i in ra:
+        for j in ra:
+            check("deriv.pa0", (la[i], "a'=" + T.C0.basis[j]), lin_comb(UAc[j], D[i], z0), z0)
+        for p in rb:
+            check("deriv.pa0", (la[i], lu[p]), lin_comb(UVc[p], D[i], z1), z1)
+            check("deriv.pa1", (la[i], lu[p]), lin_comb(U1Vc[p], D[i], z0), -AU[i][p])
+            check("deriv.hom", (lu[p], la[i]), lin_comb(D, UA[p][i], z1), lin_comb(UV[p], D[i], z1))
+    for p in rb:
+        for i in ra:
+            check("comm.ua", (lu[p], la[i]), UA[p][i], -AU[i][p])
+        for q in rb:
+            lv = "v=" + T.C1.basis[q]
+            check("comm.uv", (lu[p], lv), UV[p][q], -UV[q][p] + lin_comb(D, U1V[q][p], z1))
+            check("comm.u1v", (lu[p], lv), U1V[p][q], U1V[q][p])
+    # x_0 (y_i z) = y_i (x_0 z) + (x_0 y)_i z, in the five shapes whose
+    # target degree deg x + deg y + deg z - i - 2 is not negative
+    for p in rb:
+        for q in rb:
+            for r in rb:
+                # u_0 (v_0 w) = v_0 (u_0 w) + (u_0 v)_0 w
+                lhs = lin_comb(UV[p], UV[q][r], z1)
+                rhs = lin_comb(UV[q], UV[p][r], z1) + lin_comb(UVc[r], UV[p][q], z1)
+                check("assoc.i0", (lu[p], lu[q], lu[r]), lhs, rhs)
+                # u_0 (v_1 w) = v_1 (u_0 w) + (u_0 v)_1 w
+                lhs = lin_comb(UA[p], U1V[q][r], z0)
+                rhs = lin_comb(U1V[q], UV[p][r], z0) + lin_comb(U1Vc[r], UV[p][q], z0)
+                check("assoc.i1", (lu[p], lu[q], lu[r]), lhs, rhs)
+            for i in ra:
+                # u_0 (v_0 a) = v_0 (u_0 a) + (u_0 v)_0 a
+                lhs = lin_comb(UA[p], UA[q][i], z0)
+                rhs = lin_comb(UA[q], UA[p][i], z0) + lin_comb(UAc[i], UV[p][q], z0)
+                check("assoc.i0", (lu[p], lu[q], la[i]), lhs, rhs)
+                # u_0 (a_0 v) = a_0 (u_0 v) + (u_0 a)_0 v
+                lhs = lin_comb(UA[p], AU[i][q], z0)
+                rhs = lin_comb(AU[i], UV[p][q], z0) + lin_comb(AUc[q], UA[p][i], z0)
+                check("assoc.i0", (lu[p], la[i], lu[q]), lhs, rhs)
+                # a_0 (u_0 v) = u_0 (a_0 v) + (a_0 u)_0 v
+                lhs = lin_comb(AU[i], UV[p][q], z0)
+                rhs = lin_comb(UA[p], AU[i][q], z0) + lin_comb(AUc[q], AU[i][p], z0)
+                check("assoc.i0", (la[i], lu[p], lu[q]), lhs, rhs)
+    return CheckReport(out)
 
 
 def check_leibniz_form(T: OneTruncatedConformalAlgebra) -> CheckReport:

@@ -369,7 +369,7 @@ def _neg_ddx(s: dict[int, SCElement]) -> dict[int, SCElement]:
 # -- checkers -------------------------------------------------------------
 
 
-def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
+def check_vertex_lie(inst: VertexLie) -> CheckReport:
     """Component axioms on normal-form basis elements.
 
     hs, hp, dcomm, ha and grading are stated in ``laws``; they are verified
@@ -378,7 +378,7 @@ def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
     stays within the algebra's cutoff.  The normal-form dimensions are
     checked here: degree 0 is A and each degree 1..cutoff is B.
     """
-    top = inst.cutoff if cutoff is None else min(cutoff, inst.cutoff)
+    top = inst.cutoff
     elems = [(l, e, e.max_degree()) for l, e in inst.basis_elements()]
     pairs = [(x, y) for x in elems for y in elems if x[2] + y[2] <= top]
     triples = [(x, y, [z for z in elems if x[2] + y[2] + z[2] <= top]) for x, y in pairs]
@@ -395,16 +395,16 @@ def check_vertex_lie(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
         return out
 
     return CheckReport(
-        laws.check_pair_laws(inst, MODULE, fmt, top, inst.cutoff, pairs)
+        laws.check_pair_laws(inst, MODULE, fmt, top, pairs)
         + laws.check_ha(inst, MODULE, fmt, top, triples)
         + dims_part()
     )
 
 
-def check_oracle_agreement(inst: VertexLie, cutoff: int | None = None) -> CheckReport:
+def check_oracle_agreement(inst: VertexLie) -> CheckReport:
     """Closed-form products vs the series oracle, on every generator pair
     and every index within the grading support (plus one beyond)."""
-    top = inst.cutoff if cutoff is None else min(cutoff, inst.cutoff)
+    top = inst.cutoff
     gens: list[tuple[str, tuple, int]] = [
         ("a=" + l, ("a", inst.A.unit_vector(l)), 0) for l in inst.A.basis
     ]

@@ -331,7 +331,7 @@ def _sample(seq, limit):
     return seq[::step]
 
 
-def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
+def check_vpa(sym: SymAlgebra) -> CheckReport:
     """Vertex Poisson axioms on a spanning set of monomials.
 
     Sections (all exact; tuples chosen so every intermediate stays within
@@ -350,7 +350,7 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
     identities extend from the checked tuples by the derivation law.  A
     deterministic sample of larger monomials is still mixed in.
     """
-    top = sym.cutoff if cutoff is None else min(cutoff, sym.cutoff)
+    top = sym.cutoff
     gen_elems = [(l, sym.monomial([f]), factor_degree(f)) for l, f in sym.generators(top)]
     span2 = sym.spanning_monomials(top, 2)
     span_elems = [(format_monomial(sym, m), SCElement({m: 1}), mono_degree(m)) for m in span2]
@@ -421,7 +421,7 @@ def check_vpa(sym: SymAlgebra, cutoff: int | None = None) -> CheckReport:
         return CheckReport(
             unit_part()
             + hd_part()
-            + laws.check_pair_laws(sym, MODULE, fmt, top, top, pairs)
+            + laws.check_pair_laws(sym, MODULE, fmt, top, pairs)
             + laws.check_ha(sym, MODULE, fmt, top, triples)
             + unique_part()
         )

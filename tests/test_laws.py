@@ -22,13 +22,13 @@ from test_vpa import broken_heisenberg
 TABLES = ("partial", "p0_10", "p0_01", "p0_11", "p1_11")
 
 
-def _bump(v, k):
-    return v + Vector(v.space, {k: Fraction(1)})
+def _bump(v, k, delta):
+    return v + Vector(v.space, {k: Fraction(delta)})
 
 
-def table_mutants(T):
-    """Every single-entry +1 mutant of the five tables of a 1-truncated
-    conformal algebra, labelled table[i,j,k] (partial[i,k])."""
+def table_mutants(T, delta=1):
+    """Every single-entry mutant by ``delta`` of the five tables of a
+    1-truncated conformal algebra, labelled table[i,j,k] (partial[i,k])."""
     parts = {t: getattr(T, t) for t in TABLES}
     for t in TABLES:
         m = parts[t]
@@ -36,14 +36,14 @@ def table_mutants(T):
             for i in range(m.domain.dim):
                 for k in range(m.codomain.dim):
                     cols = list(m.columns)
-                    cols[i] = _bump(cols[i], k)
+                    cols[i] = _bump(cols[i], k, delta)
                     yield "%s[%d,%d]" % (t, i, k), dict(parts, **{t: LinearMap(m.domain, m.codomain, cols)})
             continue
         for i in range(m.left.dim):
             for j in range(m.right.dim):
                 for k in range(m.codomain.dim):
                     rows = [list(r) for r in m.table]
-                    rows[i][j] = _bump(rows[i][j], k)
+                    rows[i][j] = _bump(rows[i][j], k, delta)
                     bad = BilinearMap(m.left, m.right, m.codomain, rows)
                     yield "%s[%d,%d,%d]" % (t, i, j, k), dict(parts, **{t: bad})
 

@@ -1,16 +1,14 @@
+import hashlib
+import os
+from collections import Counter
 from fractions import Fraction
 
 from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
 from courant_vpa.linalg import BasedSpace, BilinearMap, LinearMap
-from courant_vpa.tca import (
-    OneTruncatedConformalAlgebra,
-    check_all,
-    check_associativity,
-    check_commutativity,
-    check_derivation,
-    check_leibniz_form,
-)
+from courant_vpa.tca import OneTruncatedConformalAlgebra, check_all, check_leibniz_form
+
+from test_laws import table_mutants
 
 
 def all_zero_tca(dim0=1, dim1=2):
@@ -37,9 +35,7 @@ def perturb(bmap, i, j, k, delta=1):
 
 def test_all_zero_structure_passes_everything():
     T = all_zero_tca()
-    assert check_derivation(T).passed
-    assert check_commutativity(T).passed
-    assert check_associativity(T).passed
+    assert check_all(T).passed
     assert check_leibniz_form(T).passed
 
 
@@ -89,9 +85,8 @@ def test_broken_jacobi_fails_associativity_at_i0():
         C0=T.C0, C1=T.C1, partial=T.partial,
         p0_10=T.p0_10, p0_01=T.p0_01, p0_11=bad_bracket, p1_11=T.p1_11,
     )
-    rep = check_associativity(bad)
-    assert not rep.passed
-    assert any(v.axiom == "assoc.i0" for v in rep.violations)
+    assoc = [v.axiom for v in check_all(bad).violations if v.axiom.startswith("assoc.")]
+    assert "assoc.i0" in assoc
 
 
 def test_swap_asymmetric_pairing_fails_u1v_symmetry():
@@ -102,7 +97,7 @@ def test_swap_asymmetric_pairing_fails_u1v_symmetry():
         C0=T.C0, C1=T.C1, partial=T.partial,
         p0_10=T.p0_10, p0_01=T.p0_01, p0_11=T.p0_11, p1_11=pairing,
     )
-    rep = check_commutativity(bad)
+    rep = check_all(bad)
     assert any(v.axiom == "comm.u1v" for v in rep.violations)
 
 
@@ -115,7 +110,7 @@ def test_antisymmetric_bracket_with_zero_partial_passes_commutativity():
         C0=T.C0, C1=T.C1, partial=T.partial,
         p0_10=T.p0_10, p0_01=T.p0_01, p0_11=brk, p1_11=T.p1_11,
     )
-    assert check_commutativity(cand).passed
+    assert not [v for v in check_all(cand).violations if v.axiom.startswith("comm.")]
 
 
 def test_biconditional_with_leibniz_form_on_examples():
@@ -132,3 +127,41 @@ def test_biconditional_on_a_mutated_instance():
     )
     assert not check_all(bad).passed
     assert not check_leibniz_form(bad).passed
+
+
+MUTANT_INSTANCES = ("heisenberg", "quadratic_lie(sl2)", "exact(2)", "exact(3)")
+
+
+def tca_mutants():
+    """Every single-entry mutant, by +1 and by -1/2, of the five tables of
+    to_1tca of each instance, labelled table[i,j,k]*delta."""
+    for name in MUTANT_INSTANCES:
+        T = to_1tca(example(name))
+        for delta in (1, Fraction(-1, 2)):
+            for label, parts in table_mutants(T, delta):
+                yield name, "%s*%s" % (label, delta), OneTruncatedConformalAlgebra(C0=T.C0, C1=T.C1, **parts)
+
+
+def test_mutant_reports_are_pinned():
+    # per-axiom violation counts of check_all, and a digest of its report
+    # text (axioms, tuples and both sides), for every mutant
+    path = os.path.join(os.path.dirname(__file__), "data", "tca_mutant_reports.txt")
+    with open(path, encoding="utf-8") as fh:
+        pinned = [line.split() for line in fh if not line.startswith("#")]
+    got = []
+    for name, label, bad in tca_mutants():
+        rep = check_all(bad)
+        counts = Counter(v.axiom for v in rep.violations)
+        text = hashlib.sha256("\n".join(map(str, rep.violations)).encode()).hexdigest()[:12]
+        got.append([name, label] + ["%s=%d" % kv for kv in sorted(counts.items())] + ["text=" + text])
+    assert len(pinned) == 564
+    assert got == pinned
+
+
+def test_biconditional_with_leibniz_form_on_mutants():
+    failing = 0
+    for name, label, bad in tca_mutants():
+        passed = check_all(bad).passed
+        assert passed == check_leibniz_form(bad).passed, (name, label)
+        failing += not passed
+    assert failing > 500
