@@ -16,8 +16,18 @@ elements ``(label, elem, degree)``, and the degree ``top`` that bounds the
 index windows and up to which D may be applied to an argument.  Index
 windows run one past the grading support, so vanishing outside the
 support is asserted too, and start where the product would leave the
-degrees ``top`` allows.  Each product is evaluated once per pair (or per
-triple) however many laws read it.
+degrees ``top`` allows.
+
+Each product is evaluated once however many laws or loop positions read
+it, through tables that live inside one call.  ``check_pair_laws`` keeps,
+per pair, u_k v and the D-chain of v_k u under k, and for the call D u
+under u.  ``check_ha`` keeps, for the call, x_k w for x = u or v under
+(k, x, w); per (u, v), u_i v under i; and per triple, (u_i v)_k w under
+(i, k).  An element in a key is the object the caller's tuple holds,
+by identity: the tables hold the tuples for the call, so no identity is
+reused.  A label is never a key, as it is free text that may print like a
+product; nor is an element's hash, which costs a pass over its terms on
+every lookup.
 
 A product with a zero argument is zero by bilinearity, so a sum leaves
 it out without evaluating it: dropping it changes no value.  This is not
@@ -40,7 +50,8 @@ def check_pair_laws(alg, module: str, fmt, top: int, pairs) -> list[Violation]:
     (D u is computed once); hp and grading.d need p + 1 <= top and dcomm
     q + 1 <= top."""
     out = []
-    d_of = {}  # u -> D u, keyed by value: distinct elements may share a label
+    pairs = list(pairs)  # holds every element for the call, so no id is reused
+    d_of = {}  # id(u) -> D u
     for (lu, u, p), (lv, v, q) in pairs:
         lo = max(0, p + q - top - 1)
         puv = {k: alg.product(k, u, v) for k in range(lo, p + q + 2)}
@@ -64,9 +75,9 @@ def check_pair_laws(alg, module: str, fmt, top: int, pairs) -> list[Violation]:
         # -n u_(n-1) v, the right side of hp and dcomm
         below = {n: alg.combine([(-n, puv[n - 1])]) if n else alg.zero() for n in window}
         if p + 1 <= top:
-            du = d_of.get(u)
+            du = d_of.get(id(u))
             if du is None:
-                du = d_of[u] = alg.d(u)
+                du = d_of[id(u)] = alg.d(u)
                 if any(dd != p + 1 for dd in du.degrees()):
                     out.append(Violation(module, "grading.d", (lu,), fmt(du), "degree %d" % (p + 1)))
             for n in window:
@@ -97,25 +108,38 @@ def check_ha(alg, module: str, fmt, top: int, triples) -> list[Violation]:
     ``(lw, w, r)`` of ``thirds``, skipping the (m, n) whose inner or outer
     products would leave the degrees ``top`` allows."""
     out = []
+    triples = list(triples)  # holds every element for the call, so no id is reused
+    on = {}  # (k, id(x), id(w)) -> x_k w: v_n w does not depend on u, nor u_m w on v
     for (lu, u, p), (lv, v, q), thirds in triples:
         uv = {}
         for lw, w, r in thirds:
-            vw, uw = {}, {}
+            uvw = {}  # (i, k) -> (u_i v)_k w, read by every (m, n) with m + n - i = k
             for m in range(0, p + q + r):
                 if p + r - m - 1 > top:
                     continue
                 for n in range(0, q + r):
                     if q + r - n - 1 > top or p + q + r - m - n - 2 > top:
                         continue
-                    if n not in vw:
-                        vw[n] = alg.product(n, v, w)
-                    if m not in uw:
-                        uw[m] = alg.product(m, u, w)
-                    lhs = _sum_products(alg, [(1, m, u, vw[n]), (-1, n, v, uw[m])])
+                    vw = on.get((n, id(v), id(w)))
+                    if vw is None:
+                        vw = on[n, id(v), id(w)] = alg.product(n, v, w)
+                    uw = on.get((m, id(u), id(w)))
+                    if uw is None:
+                        uw = on[m, id(u), id(w)] = alg.product(m, u, w)
+                    lhs = _sum_products(alg, [(1, m, u, vw), (-1, n, v, uw)])
+                    terms = []
                     for i in range(0, m + 1):
-                        if i not in uv:
-                            uv[i] = alg.product(i, u, v)
-                    rhs = _sum_products(alg, [(comb(m, i), m + n - i, uv[i], w) for i in range(0, m + 1)])
+                        x = uv.get(i)
+                        if x is None:
+                            x = uv[i] = alg.product(i, u, v)
+                        if x.is_zero() or w.is_zero():
+                            continue
+                        k = m + n - i
+                        y = uvw.get((i, k))
+                        if y is None:
+                            y = uvw[i, k] = alg.product(k, x, w)
+                        terms.append((comb(m, i), y))
+                    rhs = alg.combine(terms)
                     if lhs != rhs:
                         out.append(
                             Violation(module, "ha", (lu, lv, lw, "m=%d" % m, "n=%d" % n), fmt(lhs), fmt(rhs))

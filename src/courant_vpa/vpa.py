@@ -338,7 +338,10 @@ def check_vpa(sym: SymAlgebra) -> CheckReport:
     the cutoff):
 
         unit      u_n 1 = 0 and 1_n v = 0
-        hd        u_n (v.w) = (u_n v).w + v.(u_n w)
+        hd        u_n (v.w) = (u_n v).w + v.(u_n w) on monomials v, w; per
+                  u, u_n (v.w) is evaluated once per distinct monomial
+                  v.w and u_n x once per monomial x, both keyed by
+                  monomial, never by label
         hs, hp, dcomm, grading   (stated in ``laws``) on pairs of spanning
                   monomials of at most two factors
         ha        (stated in ``laws``) on generator pairs against spanning
@@ -357,13 +360,6 @@ def check_vpa(sym: SymAlgebra) -> CheckReport:
     composites = [x for m, x in zip(span2, span_elems) if len(m) > 1]
     fmt = lambda u: format_element(sym, u)
 
-    def cached_product(cache, key, n, a, b):
-        # a_n b, evaluated on the first use of ``key`` only; a raise is never stored
-        got = cache.get(key)
-        if got is None:
-            got = cache[key] = sym.product(n, a, b)
-        return got
-
     def unit_part():
         out = []
         one = sym.one()
@@ -378,24 +374,40 @@ def check_vpa(sym: SymAlgebra) -> CheckReport:
         return out
 
     def hd_part():
+        # every v and w is one monomial with coefficient 1, so v.w is the
+        # monomial mv.mw and the right side is (u_n v).mw + mv.(u_n w)
         out = []
         thirds = gen_elems + [("1", sym.one(), 0)] + _sample(composites, 6)
-        # (v, w, v.w), each v.w formed once for every u
-        vws = [
-            ((lv, v, q), (lw, w, r), sym.multiply(v, w))
-            for lv, v, q in span_elems
-            for lw, w, r in thirds
-            if q + r <= top
-        ]
+        # (v, mv, w, mw, degree of v.w, index of v.w): the distinct monomials
+        # v.w are numbered once, since v.w = w.v and x.y.z splits three ways
+        index: dict[Monomial, int] = {}
+        vws = []
+        for lv, v, q in span_elems:
+            (mv,) = v.terms
+            for lw, w, r in thirds:
+                if q + r <= top:
+                    (mw,) = w.terms
+                    k = index.setdefault(make_monomial(mv + mw), len(index))
+                    vws.append((lv, v, mv, lw, w, mw, q + r, k))
+        vw_elems = [SCElement({m: 1}) for m in index]
         for lu, u, p in gen_elems + _sample(composites, 8):
-            u_on: dict[tuple[str, int], SCElement] = {}
-            for (lv, v, q), (lw, w, r), vw in vws:
-                lo = max(0, p + q + r - top - 1)
-                for n in range(lo, p + q + r):
-                    lhs = sym.product(n, u, vw)
-                    uv = cached_product(u_on, (lv, n), n, u, v)
-                    uw = cached_product(u_on, (lw, n), n, u, w)
-                    rhs = sym.multiply(uv, w) + sym.multiply(v, uw)
+            lhs_of: dict[tuple[int, int], SCElement] = {}  # (index of v.w, n) -> u_n (v.w)
+            u_on: dict[tuple[Monomial, int], SCElement] = {}  # (monomial of x, n) -> u_n x
+            for lv, v, mv, lw, w, mw, qr, k in vws:
+                for n in range(max(0, p + qr - top - 1), p + qr):
+                    lhs = lhs_of.get((k, n))
+                    if lhs is None:
+                        lhs = lhs_of[k, n] = sym.product(n, u, vw_elems[k])
+                    uv = u_on.get((mv, n))
+                    if uv is None:
+                        uv = u_on[mv, n] = sym.product(n, u, v)
+                    uw = u_on.get((mw, n))
+                    if uw is None:
+                        uw = u_on[mw, n] = sym.product(n, u, w)
+                    acc: dict[Monomial, Scalar] = {}
+                    sym._add_times(acc, uv.terms.items(), mw)
+                    sym._add_times(acc, uw.terms.items(), mv)
+                    rhs = SCElement(acc)
                     if lhs != rhs:
                         out.append(
                             Violation(MODULE, "hd", (lu, lv, lw, "n=%d" % n), fmt(lhs), fmt(rhs))

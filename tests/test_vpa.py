@@ -224,11 +224,12 @@ def test_check_vpa_drops_its_memo(monkeypatch):
     assert sym._memo is None
     sizes = []
 
-    def failing_multiply(u, v):
+    def failing_d(u):
         sizes.append(len(sym._memo))
         raise RuntimeError("stop")
 
-    monkeypatch.setattr(sym, "multiply", failing_multiply)
+    # the laws ask for D after the unit and hd sections have filled the memo
+    monkeypatch.setattr(sym, "d", failing_d)
     with pytest.raises(RuntimeError):
         check_vpa(sym)
     assert sizes and sizes[0] > 0
