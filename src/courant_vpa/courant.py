@@ -10,23 +10,34 @@ They read the tables by basis index.  A bilinear map with one argument a
 basis vector is the linear map given by that row (or column) of its
 table: b(e_i, e_j) is table[i][j] and b(e_i, x) is lin_comb(table[i], x,
 zero).  Shapes were checked at construction, so this equals bilin_apply
-exactly with no space check.
+exactly with no space check.  check_courant reads each table and its
+columns once per call as item tuples (linalg.item_table) and computes
+b(e_i, x) as comb_items(rows[i], x) on them, so each identity compares two
+canonical tuples; a violation's sides are printed from the tuples by
+format_items, which renders them as format_vector renders a Vector.
+check_compat and check_annihilation compute on Vectors through lin_comb.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 from .linalg import (
     BasedSpace,
     BilinearMap,
     LinearMap,
     Vector,
+    add_items,
     bilin_apply,
     columns,
+    comb_items,
+    format_items,
     format_vector,
+    item_table,
     lin_comb,
     map_apply,
+    neg_items,
     solve_linear,
 )
 from .reports import CheckReport, Violation
@@ -112,7 +123,10 @@ def differing_tables(X: CourantAlgebroid, Y: CourantAlgebroid) -> dict[str, tupl
 
 
 def _first(parts, limit: int | None) -> CheckReport:
-    """The violations of the generators ``parts`` in turn, up to ``limit``."""
+    """The violations of the generators ``parts`` in turn, up to ``limit``
+    (at least 1, or None for all)."""
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be at least 1, got %r" % limit)
     found = []
     for part in parts:
         for v in part:
@@ -137,118 +151,121 @@ def check_courant(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
         c5   [u, v] + [v, u] = p<u, v>
 
     ``limit`` stops enumeration after that many violations (used by the
-    mutation-sensitivity scans, where one is enough).
+    mutation-sensitivity scans, where one is enough); a ``limit`` below 1
+    is a ValueError.
     """
-    fmt = format_vector
-    la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
+    As, Bs = X.A.space, X.B
+    la, lu = ["a=" + l for l in As.basis], ["u=" + l for l in Bs.basis]
     ra, rb = range(len(la)), range(len(lu))
-    avec, bvec = X.A.space.basis_vectors(), X.B.basis_vectors()
-    e, zA, zB = X.A.unit, X.A.space.zero(), X.B.zero()
-    M, Act, Brk, Anc, Pair = (t.table for t in (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
-    Mc, Actc, Brkc, Ancc, Pairc = map(columns, (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
-    D = X.partial.columns
+    ea, eb = [((i, 1),) for i in ra], [((p, 1),) for p in rb]
+    e = X.A.unit.items
+    (M, Mc), (Act, Actc), (Brk, Brkc), (Anc, Ancc), (Pair, Pairc) = map(
+        item_table, (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
+    D = [col.items for col in X.partial.columns]
+    comb, add = comb_items, add_items
+    fa, fb = partial(format_items, As), partial(format_items, Bs)
 
     def alg_part():
         for i in ra:
-            lhs = lin_comb(Mc[i], e, zA)
-            if lhs != avec[i]:
-                yield Violation(MODULE, "A.unit", (la[i],), fmt(lhs), fmt(avec[i]))
+            lhs = comb(Mc[i], e)
+            if lhs != ea[i]:
+                yield Violation(MODULE, "A.unit", (la[i],), fa(lhs), fa(ea[i]))
             for j in ra:
                 ab, ba = M[i][j], M[j][i]
                 if ab != ba:
-                    yield Violation(MODULE, "A.comm", (la[i], la[j]), fmt(ab), fmt(ba))
+                    yield Violation(MODULE, "A.comm", (la[i], la[j]), fa(ab), fa(ba))
                 for k in ra:
-                    lhs = lin_comb(Mc[k], ab, zA)
-                    rhs = lin_comb(M[i], M[j][k], zA)
+                    lhs = comb(Mc[k], ab)
+                    rhs = comb(M[i], M[j][k])
                     if lhs != rhs:
-                        yield Violation(MODULE, "A.assoc", (la[i], la[j], la[k]), fmt(lhs), fmt(rhs))
-                lhs = lin_comb(D, ab, zB)
-                rhs = lin_comb(Act[i], D[j], zB) + lin_comb(Act[j], D[i], zB)
+                        yield Violation(MODULE, "A.assoc", (la[i], la[j], la[k]), fa(lhs), fa(rhs))
+                lhs = comb(D, ab)
+                rhs = add(comb(Act[i], D[j]), comb(Act[j], D[i]))
                 if lhs != rhs:
-                    yield Violation(MODULE, "partial.der", (la[i], la[j]), fmt(lhs), fmt(rhs))
+                    yield Violation(MODULE, "partial.der", (la[i], la[j]), fb(lhs), fb(rhs))
 
     def module_part():
         for p in rb:
-            lhs = lin_comb(Actc[p], e, zB)
-            if lhs != bvec[p]:
-                yield Violation(MODULE, "mod.unit", (lu[p],), fmt(lhs), fmt(bvec[p]))
+            lhs = comb(Actc[p], e)
+            if lhs != eb[p]:
+                yield Violation(MODULE, "mod.unit", (lu[p],), fb(lhs), fb(eb[p]))
             for i in ra:
                 for j in ra:
                     ab = M[i][j]
-                    lhs = lin_comb(Actc[p], ab, zB)
-                    rhs = lin_comb(Act[i], Act[j][p], zB)
+                    lhs = comb(Actc[p], ab)
+                    rhs = comb(Act[i], Act[j][p])
                     if lhs != rhs:
-                        yield Violation(MODULE, "mod.assoc", (la[i], la[j], lu[p]), fmt(lhs), fmt(rhs))
-                    lhs = lin_comb(Anc[p], ab, zA)
-                    rhs = lin_comb(M[i], Anc[p][j], zA) + lin_comb(Mc[j], Anc[p][i], zA)
+                        yield Violation(MODULE, "mod.assoc", (la[i], la[j], lu[p]), fb(lhs), fb(rhs))
+                    lhs = comb(Anc[p], ab)
+                    rhs = add(comb(M[i], Anc[p][j]), comb(Mc[j], Anc[p][i]))
                     if lhs != rhs:
-                        yield Violation(MODULE, "anchor.der", (lu[p], la[i], la[j]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "anchor.der", (lu[p], la[i], la[j]), fa(lhs), fa(rhs))
 
     def pairing_part():
         for p in rb:
             for q in rb:
                 if Pair[p][q] != Pair[q][p]:
-                    yield Violation(MODULE, "pair.sym", (lu[p], lu[q]), fmt(Pair[p][q]), fmt(Pair[q][p]))
+                    yield Violation(MODULE, "pair.sym", (lu[p], lu[q]), fa(Pair[p][q]), fa(Pair[q][p]))
                 for i in ra:
-                    lhs = lin_comb(Pairc[q], Act[i][p], zA)
-                    rhs = lin_comb(M[i], Pair[p][q], zA)
+                    lhs = comb(Pairc[q], Act[i][p])
+                    rhs = comb(M[i], Pair[p][q])
                     if lhs != rhs:
-                        yield Violation(MODULE, "pair.alin", (la[i], lu[p], lu[q]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "pair.alin", (la[i], lu[p], lu[q]), fa(lhs), fa(rhs))
 
     def bracket_part():
         for p in rb:
             for q in rb:
                 for r in rb:
-                    lhs = lin_comb(Brk[p], Brk[q][r], zB)
-                    rhs = lin_comb(Brkc[r], Brk[p][q], zB) + lin_comb(Brk[q], Brk[p][r], zB)
+                    lhs = comb(Brk[p], Brk[q][r])
+                    rhs = add(comb(Brkc[r], Brk[p][q]), comb(Brk[q], Brk[p][r]))
                     if lhs != rhs:
-                        yield Violation(MODULE, "leibniz", (lu[p], lu[q], lu[r]), fmt(lhs), fmt(rhs))
-                    lhs = lin_comb(Pairc[r], Brk[p][q], zA) + lin_comb(Pair[q], Brk[p][r], zA)
-                    rhs = lin_comb(Anc[p], Pair[q][r], zA)
+                        yield Violation(MODULE, "leibniz", (lu[p], lu[q], lu[r]), fb(lhs), fb(rhs))
+                    lhs = add(comb(Pairc[r], Brk[p][q]), comb(Pair[q], Brk[p][r]))
+                    rhs = comb(Anc[p], Pair[q][r])
                     if lhs != rhs:
-                        yield Violation(MODULE, "c2", (lu[p], lu[q], lu[r]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "c2", (lu[p], lu[q], lu[r]), fa(lhs), fa(rhs))
 
     def anchor_part():
         for p in rb:
             for q in rb:
                 for i in ra:
-                    lhs = lin_comb(Ancc[i], Brk[p][q], zA)
-                    rhs = lin_comb(Anc[p], Anc[q][i], zA) - lin_comb(Anc[q], Anc[p][i], zA)
+                    lhs = comb(Ancc[i], Brk[p][q])
+                    rhs = add(comb(Anc[p], Anc[q][i]), neg_items(comb(Anc[q], Anc[p][i])))
                     if lhs != rhs:
-                        yield Violation(MODULE, "anchor.hom", (lu[p], lu[q], la[i]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "anchor.hom", (lu[p], lu[q], la[i]), fa(lhs), fa(rhs))
             for i in ra:
                 for j in ra:
-                    lhs = lin_comb(Ancc[j], Act[i][p], zA)
-                    rhs = lin_comb(M[i], Anc[p][j], zA)
+                    lhs = comb(Ancc[j], Act[i][p])
+                    rhs = comb(M[i], Anc[p][j])
                     if lhs != rhs:
-                        yield Violation(MODULE, "anchor.alin", (la[i], lu[p], la[j]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "anchor.alin", (la[i], lu[p], la[j]), fa(lhs), fa(rhs))
 
     def coupling_part():
         for p in rb:
             for i in ra:
                 for q in rb:
-                    lhs = lin_comb(Brk[p], Act[i][q], zB)
-                    rhs = lin_comb(Act[i], Brk[p][q], zB) + lin_comb(Actc[q], Anc[p][i], zB)
+                    lhs = comb(Brk[p], Act[i][q])
+                    rhs = add(comb(Act[i], Brk[p][q]), comb(Actc[q], Anc[p][i]))
                     if lhs != rhs:
-                        yield Violation(MODULE, "c1", (lu[p], la[i], lu[q]), fmt(lhs), fmt(rhs))
-                lhs = lin_comb(Brk[p], D[i], zB)
-                rhs = lin_comb(D, Anc[p][i], zB)
+                        yield Violation(MODULE, "c1", (lu[p], la[i], lu[q]), fb(lhs), fb(rhs))
+                lhs = comb(Brk[p], D[i])
+                rhs = comb(D, Anc[p][i])
                 if lhs != rhs:
-                    yield Violation(MODULE, "c3", (lu[p], la[i]), fmt(lhs), fmt(rhs))
-                lhs = lin_comb(Pair[p], D[i], zA)
+                    yield Violation(MODULE, "c3", (lu[p], la[i]), fb(lhs), fb(rhs))
+                lhs = comb(Pair[p], D[i])
                 rhs = Anc[p][i]
                 if lhs != rhs:
-                    yield Violation(MODULE, "c4", (lu[p], la[i]), fmt(lhs), fmt(rhs))
+                    yield Violation(MODULE, "c4", (lu[p], la[i]), fa(lhs), fa(rhs))
             for q in rb:
-                lhs = Brk[p][q] + Brk[q][p]
-                rhs = lin_comb(D, Pair[p][q], zB)
+                lhs = add(Brk[p][q], Brk[q][p])
+                rhs = comb(D, Pair[p][q])
                 if lhs != rhs:
-                    yield Violation(MODULE, "c5", (lu[p], lu[q]), fmt(lhs), fmt(rhs))
+                    yield Violation(MODULE, "c5", (lu[p], lu[q]), fb(lhs), fb(rhs))
         for i in ra:
             for j in ra:
-                lhs = lin_comb(Ancc[j], D[i], zA)
-                if not lhs.is_zero():
-                    yield Violation(MODULE, "pi.partial", (la[i], la[j]), fmt(lhs), "0")
+                lhs = comb(Ancc[j], D[i])
+                if lhs:
+                    yield Violation(MODULE, "pi.partial", (la[i], la[j]), fa(lhs), "0")
 
     parts = (alg_part, module_part, pairing_part, bracket_part, anchor_part, coupling_part)
     return _first((part() for part in parts), limit)

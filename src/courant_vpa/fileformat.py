@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 from .courant import CourantAlgebroid, UnitalCommAlgebra
 from .graded import GradedVpaView
-from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, format_vector, scalar_from_str
+from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, canonical, format_vector, scalar_from_str
 from .tca import OneTruncatedConformalAlgebra
 
 LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
@@ -201,7 +201,7 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
         tok, col = toks[i]
         if tok is None:
             # indices come from the space's index, coefficients are exact scalars
-            return Vector._trusted(space, coeffs)
+            return Vector._trusted(space, canonical(coeffs))
         if tok != "+" and tok != "-":
             raise ParseError("expected + or -, got %r" % tok, line, col)
         negative = tok == "-"

@@ -24,7 +24,7 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .courant import CourantAlgebroid, StructureError, UnitalCommAlgebra
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply, lin_comb, map_apply
+from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply, canonical, lin_comb, map_apply
 from .vpa import Monomial, SCElement, factor_degree, format_monomial, mono_degree
 
 if TYPE_CHECKING:  # quotient.py reads its degrees 0 and 1 back through this module
@@ -183,7 +183,7 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
                 coeffs = {index[m]: c for m, c in u.terms.items()}
             except KeyError:
                 raise StructureError("non-canonical monomial in expansion") from None
-            return Vector._trusted(spaces[degree], coeffs)
+            return Vector._trusted(spaces[degree], canonical(coeffs))
 
         d_maps = []
         for r in range(top):

@@ -10,18 +10,27 @@ float.  So the integer arithmetic, most of it, stays in C-level ints.
 The public ``Vector(space, coeffs)`` constructor coerces and range-checks
 its input.  Results of the kernel arithmetic (``bilin_apply``,
 ``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``, ``vec_combine``) are
-built by the private ``Vector._trusted``, which skips the range check:
-their indices come from vectors and tables that were validated when they
-were built.  A kernel result may also be one of its inputs or a stored vector
-itself: for example ``bilin_apply`` of two basis vectors returns
-``table[i][j]``, and of a zero argument the map's own zero vector.  That
-sharing is safe because a Vector is never modified after construction:
-every operation returns a new Vector, so no caller can change a table
-through a value it was handed.  Spaces are compared by identity first and
-by name and basis only when they are distinct objects, so a separately
-built, value-equal space is still accepted.  ``lin_comb`` is the one
-combination loop: ``map_apply`` runs it after its space check, the Courant
-checkers on table rows and columns.
+built by the private ``Vector._trusted``, which skips coercion and the
+range check: their indices come from vectors and tables that were
+validated when they were built.  A kernel result may also be one of its
+inputs or a stored vector itself: for example ``bilin_apply`` of two basis
+vectors returns ``table[i][j]``, and of a zero argument the map's own zero
+vector.  That sharing is safe because a Vector is never modified after
+construction: every operation returns a new Vector, so no caller can
+change a table through a value it was handed.  Spaces are compared by
+identity first and by name and basis only when they are distinct objects,
+so a separately built, value-equal space is still accepted.
+
+A Vector's ``items`` are canonical: sorted by index, zero-free, an int
+wherever a scalar is integral, so two vectors of one space are equal
+exactly when their item tuples are.  ``comb_items`` is the one
+combination loop, on item tuples: ``lin_comb`` runs it on the items of
+the vectors it reads (``map_apply`` after its space check, the graded
+view on its tables), and the Courant and conformal checkers run it on
+table rows and columns read once as item tuples (``item_table``), with
+``add_items`` and ``neg_items`` for their sums.  ``canonical`` puts a
+``{index: scalar}`` dict into that form for every kernel result.
+``vec_combine`` runs ``comb_items`` too, on its terms' items.
 
 ``Echelon``, the one exact row elimination (the quotient's relations,
 ``rank``, ``solve_linear``), stores each sparse row under its largest key
@@ -155,16 +164,13 @@ class Vector:
         self.items = tuple(items)
 
     @classmethod
-    def _trusted(cls, space: BasedSpace, coeffs: dict[int, Scalar]) -> "Vector":
-        """A kernel result: ``coeffs`` holds scalars at indices already
-        known to lie in ``space``.  As in the public constructor, zeros are
-        dropped, indices sorted and a sum or product of Fractions that is
-        integral becomes an int; nothing is range-checked."""
+    def _trusted(cls, space: BasedSpace, items: tuple) -> "Vector":
+        """A kernel result: ``items`` are canonical (``canonical`` makes
+        them from a dict) at indices already known to lie in ``space``, so
+        nothing is coerced or range-checked."""
         v = object.__new__(cls)
         v.space = space
-        v.items = tuple(sorted([
-            (i, c if type(c) is int else rational(c)) for i, c in coeffs.items() if c
-        ]))
+        v.items = items
         return v
 
     def __getitem__(self, i: int) -> Scalar:
@@ -191,31 +197,23 @@ class Vector:
             raise SpaceMismatch(
                 "cannot add vectors from %r and %r" % (self.space.name, other.space.name)
             )
-        coeffs = dict(self.items)
-        for i, c in other.items:
-            x = coeffs.get(i)
-            coeffs[i] = c if x is None else x + c
-        return Vector._trusted(self.space, coeffs)
+        return Vector._trusted(self.space, add_items(self.items, other.items))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if self.space is not other.space and self.space != other.space:
             raise SpaceMismatch(
                 "cannot subtract vectors from %r and %r" % (self.space.name, other.space.name)
             )
-        coeffs = dict(self.items)
-        for i, c in other.items:
-            x = coeffs.get(i)
-            coeffs[i] = -c if x is None else x - c
-        return Vector._trusted(self.space, coeffs)
+        return Vector._trusted(self.space, add_items(self.items, neg_items(other.items)))
 
     def __neg__(self) -> "Vector":
-        return Vector._trusted(self.space, {i: -c for i, c in self.items})
+        return Vector._trusted(self.space, neg_items(self.items))
 
     def scale(self, factor) -> "Vector":
         f = factor if type(factor) is int else rational(factor)
         if f == 1:
             return self
-        return Vector._trusted(self.space, {i: c * f for i, c in self.items} if f else {})
+        return Vector._trusted(self.space, scale_items(self.items, f))
 
     def __repr__(self) -> str:
         return "Vector(%s: %s)" % (self.space.name, format_vector(self))
@@ -223,11 +221,17 @@ class Vector:
 
 def format_vector(v: Vector) -> str:
     """Render a vector as e.g. ``2*E - 1/2*H``; the zero vector as ``0``."""
-    if v.is_zero():
+    return format_items(v.space, v.items)
+
+
+def format_items(space: BasedSpace, items: tuple) -> str:
+    """Render canonical items of ``space`` as ``format_vector`` renders
+    the vector that holds them."""
+    if not items:
         return "0"
     parts = []
-    for i, c in v.items:
-        label = v.space.basis[i]
+    for i, c in items:
+        label = space.basis[i]
         if c == 1:
             term = label
         elif c == -1:
@@ -243,24 +247,72 @@ def format_vector(v: Vector) -> str:
     return " ".join(parts)
 
 
+# -- canonical item tuples (see the module docstring) -------------------------
+
+
+def canonical(coeffs: Mapping[int, Scalar]) -> tuple:
+    """The items of ``{index: scalar}`` in canonical form."""
+    return tuple(sorted([(i, c if type(c) is int else rational(c)) for i, c in coeffs.items() if c]))
+
+
+def add_items(a: tuple, b: tuple) -> tuple:
+    """a + b on canonical item tuples."""
+    if not a:
+        return b
+    if not b:
+        return a
+    out = dict(a)
+    for i, c in b:
+        x = out.get(i)
+        out[i] = c if x is None else x + c
+    return canonical(out)
+
+
+def neg_items(a: tuple) -> tuple:
+    """-a on a canonical item tuple."""
+    return tuple([(i, -c) for i, c in a])
+
+
+def scale_items(a: tuple, f: Scalar) -> tuple:
+    """f * a on a canonical item tuple, for an int or a Fraction f."""
+    if f == 1:
+        return a
+    if not f:
+        return ()
+    # a nonzero multiple of a nonzero scalar is nonzero, in the same place
+    return tuple([(i, y if type(y := c * f) is int else rational(y)) for i, c in a])
+
+
+def comb_items(rows, items: tuple) -> tuple:
+    """sum_k c_k * rows[k] over the items (k, c_k), each rows[k] a
+    canonical item tuple and each c_k an int or a Fraction; canonical."""
+    if not items:
+        return ()
+    if len(items) == 1:
+        (k, c), = items
+        return rows[k] if c == 1 else scale_items(rows[k], c)
+    out: dict[int, Scalar] = {}
+    for k, c in items:
+        for j, w in rows[k]:
+            y = c * w
+            t = out.get(j)
+            out[j] = y if t is None else t + y
+    return canonical(out)
+
+
 def vec_combine(terms: Iterable[tuple[object, Vector]]) -> Vector:
     """Exact linear combination sum(c * v) of vectors in one space."""
     terms = list(terms)
     if not terms:
         raise ValueError("vec_combine needs at least one term")
     space = terms[0][1].space
-    coeffs: dict[int, Scalar] = {}
-    for c, v in terms:
+    for _, v in terms:
         if v.space != space:
             raise SpaceMismatch(
                 "vec_combine across %r and %r" % (space.name, v.space.name)
             )
-        f = rational(c)
-        for i, w in v.items:
-            y = f * w
-            x = coeffs.get(i)
-            coeffs[i] = y if x is None else x + y
-    return Vector._trusted(space, coeffs)
+    coeffs = tuple((k, rational(c)) for k, (c, _) in enumerate(terms))
+    return Vector._trusted(space, comb_items([v.items for _, v in terms], coeffs))
 
 
 class LinearMap:
@@ -280,7 +332,7 @@ class LinearMap:
         self.domain = domain
         self.codomain = codomain
         self.columns = cols
-        self._zero = Vector._trusted(codomain, {})
+        self._zero = Vector._trusted(codomain, ())
 
     @classmethod
     def zero(cls, domain: BasedSpace, codomain: BasedSpace) -> "LinearMap":
@@ -320,25 +372,27 @@ class LinearMap:
 
 def lin_comb(vectors, x: Vector, zero: Vector) -> Vector:
     """sum_k c_k * vectors[k] over the items (k, c_k) of x, in the space of
-    ``zero``, with no space check: ``zero`` for an empty x."""
+    ``zero``, with no space check: ``zero`` for an empty x.  The sum is
+    ``comb_items`` on the items of the vectors x reads."""
     items = x.items
     if not items:
         return zero
     if len(items) == 1:
         (k, c), = items
         return vectors[k].scale(c)
-    out: dict[int, Scalar] = {}
-    for k, c in items:
-        for j, w in vectors[k].items:
-            y = c * w
-            t = out.get(j)
-            out[j] = y if t is None else t + y
-    return Vector._trusted(zero.space, out)
+    return Vector._trusted(zero.space, comb_items({k: vectors[k].items for k, _ in items}, items))
 
 
 def columns(b: "BilinearMap") -> list[list[Vector]]:
     """Column j of b's table, b(., e_j) on the left basis, for every j."""
     return [[row[j] for row in b.table] for j in range(b.right.dim)]
+
+
+def item_table(b: "BilinearMap") -> tuple[list[list[tuple]], list[list[tuple]]]:
+    """b's table as item tuples, b(e_i, e_j) at [i][j], and its columns,
+    b(., e_j) at [j]."""
+    rows = [[v.items for v in row] for row in b.table]
+    return rows, [[row[j] for row in rows] for j in range(b.right.dim)]
 
 
 def map_apply(m: LinearMap, v: Vector) -> Vector:
@@ -395,7 +449,7 @@ class BilinearMap:
         self.right = right
         self.codomain = codomain
         self.table = rows
-        self._zero = Vector._trusted(codomain, {})
+        self._zero = Vector._trusted(codomain, ())
         self.symmetric = symmetric
         self.antisymmetric = antisymmetric
 
@@ -476,7 +530,7 @@ def bilin_apply(b: BilinearMap, u: Vector, v: Vector) -> Vector:
                 y = cd * w
                 x = out.get(k)
                 out[k] = y if x is None else x + y
-    return Vector._trusted(b.codomain, out)
+    return Vector._trusted(b.codomain, canonical(out))
 
 
 class Echelon:

@@ -26,10 +26,12 @@ Associativity lands in degree deg x + deg y + deg z - i - 2, so only five
 shapes are not forced to zero: (u,v,w) at i = 0 and i = 1, and (u,v,a),
 (u,a,v) and (a,u,v) at i = 0.  check_all writes each out.
 
-check_all reads the tables by basis index, as courant.check_courant does:
-b(e_i, e_j) is table[i][j], and b(e_i, x) is lin_comb(table[i], x, zero)
-(b(x, e_j) the same on linalg.columns(b)[j]).  Shapes were checked at
-construction, so this equals bilin_apply exactly.  check_leibniz_form
+check_all reads the tables by basis index, as courant.check_courant does,
+each table and its columns once per call as item tuples
+(linalg.item_table): b(e_i, e_j) is rows[i][j], and b(e_i, x) is
+comb_items(rows[i], x) (b(x, e_j) the same on the columns).  Shapes were
+checked at construction, so this equals bilin_apply exactly, and each
+identity compares two canonical tuples.  check_leibniz_form
 restates the same structure as Leibniz-algebra data and evaluates every
 product through bilin_apply, so it shares no code path with check_all
 and each is a check on the other.
@@ -39,7 +41,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import BasedSpace, BilinearMap, LinearMap, bilin_apply, columns, format_vector, lin_comb, map_apply
+from .linalg import (
+    BasedSpace, BilinearMap, LinearMap, add_items, bilin_apply, comb_items, format_items, format_vector,
+    item_table, map_apply, neg_items,
+)
 from .reports import CheckReport, Violation
 
 MODULE = "tca"
@@ -72,60 +77,59 @@ class OneTruncatedConformalAlgebra:
 def check_all(T: OneTruncatedConformalAlgebra) -> CheckReport:
     """Derivation, commutativity and the five associativity shapes, over
     basis tuples, each identity stated once."""
-    fmt = format_vector
-    la, lu = ["a=" + l for l in T.C0.basis], ["u=" + l for l in T.C1.basis]
+    C0, C1 = T.C0, T.C1
+    la, lu = ["a=" + l for l in C0.basis], ["u=" + l for l in C1.basis]
     ra, rb = range(len(la)), range(len(lu))
-    z0, z1 = T.C0.zero(), T.C1.zero()
     # u_0 a, a_0 u, u_0 v and u_1 v by basis index, and their columns
-    UA, AU, UV, U1V = (t.table for t in (T.p0_10, T.p0_01, T.p0_11, T.p1_11))
-    UAc, AUc, UVc, U1Vc = map(columns, (T.p0_10, T.p0_01, T.p0_11, T.p1_11))
-    D = T.partial.columns
+    (UA, UAc), (AU, AUc), (UV, UVc), (U1V, U1Vc) = map(item_table, (T.p0_10, T.p0_01, T.p0_11, T.p1_11))
+    D = [col.items for col in T.partial.columns]
+    comb, add, neg = comb_items, add_items, neg_items
     out = []
 
-    def check(axiom, labels, lhs, rhs):
+    def check(axiom, labels, space, lhs, rhs):
         if lhs != rhs:
-            out.append(Violation(MODULE, axiom, labels, fmt(lhs), fmt(rhs)))
+            out.append(Violation(MODULE, axiom, labels, format_items(space, lhs), format_items(space, rhs)))
 
     for i in ra:
         for j in ra:
-            check("deriv.pa0", (la[i], "a'=" + T.C0.basis[j]), lin_comb(UAc[j], D[i], z0), z0)
+            check("deriv.pa0", (la[i], "a'=" + C0.basis[j]), C0, comb(UAc[j], D[i]), ())
         for p in rb:
-            check("deriv.pa0", (la[i], lu[p]), lin_comb(UVc[p], D[i], z1), z1)
-            check("deriv.pa1", (la[i], lu[p]), lin_comb(U1Vc[p], D[i], z0), -AU[i][p])
-            check("deriv.hom", (lu[p], la[i]), lin_comb(D, UA[p][i], z1), lin_comb(UV[p], D[i], z1))
+            check("deriv.pa0", (la[i], lu[p]), C1, comb(UVc[p], D[i]), ())
+            check("deriv.pa1", (la[i], lu[p]), C0, comb(U1Vc[p], D[i]), neg(AU[i][p]))
+            check("deriv.hom", (lu[p], la[i]), C1, comb(D, UA[p][i]), comb(UV[p], D[i]))
     for p in rb:
         for i in ra:
-            check("comm.ua", (lu[p], la[i]), UA[p][i], -AU[i][p])
+            check("comm.ua", (lu[p], la[i]), C0, UA[p][i], neg(AU[i][p]))
         for q in rb:
-            lv = "v=" + T.C1.basis[q]
-            check("comm.uv", (lu[p], lv), UV[p][q], -UV[q][p] + lin_comb(D, U1V[q][p], z1))
-            check("comm.u1v", (lu[p], lv), U1V[p][q], U1V[q][p])
+            lv = "v=" + C1.basis[q]
+            check("comm.uv", (lu[p], lv), C1, UV[p][q], add(neg(UV[q][p]), comb(D, U1V[q][p])))
+            check("comm.u1v", (lu[p], lv), C0, U1V[p][q], U1V[q][p])
     # x_0 (y_i z) = y_i (x_0 z) + (x_0 y)_i z, in the five shapes whose
     # target degree deg x + deg y + deg z - i - 2 is not negative
     for p in rb:
         for q in rb:
             for r in rb:
                 # u_0 (v_0 w) = v_0 (u_0 w) + (u_0 v)_0 w
-                lhs = lin_comb(UV[p], UV[q][r], z1)
-                rhs = lin_comb(UV[q], UV[p][r], z1) + lin_comb(UVc[r], UV[p][q], z1)
-                check("assoc.i0", (lu[p], lu[q], lu[r]), lhs, rhs)
+                lhs = comb(UV[p], UV[q][r])
+                rhs = add(comb(UV[q], UV[p][r]), comb(UVc[r], UV[p][q]))
+                check("assoc.i0", (lu[p], lu[q], lu[r]), C1, lhs, rhs)
                 # u_0 (v_1 w) = v_1 (u_0 w) + (u_0 v)_1 w
-                lhs = lin_comb(UA[p], U1V[q][r], z0)
-                rhs = lin_comb(U1V[q], UV[p][r], z0) + lin_comb(U1Vc[r], UV[p][q], z0)
-                check("assoc.i1", (lu[p], lu[q], lu[r]), lhs, rhs)
+                lhs = comb(UA[p], U1V[q][r])
+                rhs = add(comb(U1V[q], UV[p][r]), comb(U1Vc[r], UV[p][q]))
+                check("assoc.i1", (lu[p], lu[q], lu[r]), C0, lhs, rhs)
             for i in ra:
                 # u_0 (v_0 a) = v_0 (u_0 a) + (u_0 v)_0 a
-                lhs = lin_comb(UA[p], UA[q][i], z0)
-                rhs = lin_comb(UA[q], UA[p][i], z0) + lin_comb(UAc[i], UV[p][q], z0)
-                check("assoc.i0", (lu[p], lu[q], la[i]), lhs, rhs)
+                lhs = comb(UA[p], UA[q][i])
+                rhs = add(comb(UA[q], UA[p][i]), comb(UAc[i], UV[p][q]))
+                check("assoc.i0", (lu[p], lu[q], la[i]), C0, lhs, rhs)
                 # u_0 (a_0 v) = a_0 (u_0 v) + (u_0 a)_0 v
-                lhs = lin_comb(UA[p], AU[i][q], z0)
-                rhs = lin_comb(AU[i], UV[p][q], z0) + lin_comb(AUc[q], UA[p][i], z0)
-                check("assoc.i0", (lu[p], la[i], lu[q]), lhs, rhs)
+                lhs = comb(UA[p], AU[i][q])
+                rhs = add(comb(AU[i], UV[p][q]), comb(AUc[q], UA[p][i]))
+                check("assoc.i0", (lu[p], la[i], lu[q]), C0, lhs, rhs)
                 # a_0 (u_0 v) = u_0 (a_0 v) + (a_0 u)_0 v
-                lhs = lin_comb(AU[i], UV[p][q], z0)
-                rhs = lin_comb(UA[p], AU[i][q], z0) + lin_comb(AUc[q], AU[i][p], z0)
-                check("assoc.i0", (la[i], lu[p], lu[q]), lhs, rhs)
+                lhs = comb(AU[i], UV[p][q])
+                rhs = add(comb(UA[p], AU[i][q]), comb(AUc[q], AU[i][p]))
+                check("assoc.i0", (la[i], lu[p], lu[q]), C0, lhs, rhs)
     return CheckReport(out)
 
 

@@ -1,7 +1,10 @@
+import dataclasses
+import functools
+import hashlib
 import os
 from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 
 import pytest
 
@@ -176,15 +179,51 @@ def _report_line(name, label, Y, *checks):
     return [name, label, first[0].axiom if first else "-"] + ["%s=%d" % kv for kv in sorted(counts.items())]
 
 
+def _unit_mutations(X, delta):
+    """The unit of A changed by ``delta`` in each coordinate k, labelled
+    unit[k]."""
+    for k in range(X.A.space.dim):
+        unit = X.A.unit + Vector(X.A.space, {k: delta})
+        yield "unit[%d]" % k, CourantAlgebroid(
+            A=UnitalCommAlgebra(X.A.space, X.A.mult, unit), B=X.B, action=X.action,
+            bracket=X.bracket, anchor=X.anchor, pairing=X.pairing, partial=X.partial,
+        )
+
+
+@functools.lru_cache(maxsize=None)
+def mutant_sweep():
+    """check_courant on every +1 and -1/2 single-entry mutant, the unit's
+    included, of heisenberg, exact(2), quadratic_lie(sl2) and exact(3), as
+    ``(instance, delta, mutant, report line, digest)``: the line of
+    _report_line and a 12-hex sha256 of the full report's violation lines.
+    Cached, so the two pins share one sweep."""
+    out = []
+    for delta in ("1", "-1/2"):
+        for name in ("heisenberg", "exact(2)", "quadratic_lie(sl2)", "exact(3)"):
+            X = example(name)
+            for label, Y in chain(_mutations(X, Fraction(delta)), _unit_mutations(X, Fraction(delta))):
+                text = "".join(str(v) + "\n" for v in check_courant(Y).violations)
+                digest = hashlib.sha256(text.encode("utf-8")).hexdigest()[:12]
+                out.append((name, delta, label, _report_line(name, label, Y), digest))
+    return out
+
+
 def test_mutant_reports_are_pinned():
     # per-axiom violation counts of the full report and the axiom of the
     # limit=1 first violation, for every mutant of two instances
     pinned = _pinned("courant_mutant_reports.txt")
-    got = [_report_line(name, label, Y)
-           for name in ("exact(2)", "quadratic_lie(sl2)")
-           for label, Y in _mutations(example(name))]
+    got = [line for name, delta, label, line, _ in mutant_sweep()
+           if delta == "1" and name in ("exact(2)", "quadratic_lie(sl2)") and not label.startswith("unit")]
     assert len(pinned) == 44 + 52
     assert got == pinned
+
+
+def test_mutant_violation_text_is_pinned():
+    # the violation lines themselves, tuples and both sides, not only
+    # their counts
+    pinned = _pinned("courant_mutant_hashes.txt")
+    assert len(pinned) == 2 * (7 + 46 + 53 + 238)
+    assert [[name, delta, label, digest] for name, delta, label, _, digest in mutant_sweep()] == pinned
 
 
 def _wide_mutants():
@@ -212,6 +251,40 @@ def test_wide_mutant_reports_are_pinned():
            for name, label, Y in _wide_mutants()]
     assert len(pinned) == 235 + 52 + 88 + 22
     assert got == pinned
+
+
+@pytest.mark.parametrize("limit", [0, -1])
+def test_limit_below_one_is_refused(limit):
+    # a mutant failing both, so that a limit that stopped nowhere would show
+    _, Y = next(islice(_mutations(example("exact(2)")), 1, None))  # mult[0,0,1]
+    assert not check_courant(Y, limit=1).passed and not check_compat(Y, limit=1).passed
+    for check in (check_courant, check_compat):
+        with pytest.raises(ValueError):
+            check(Y, limit=limit)
+
+
+def test_check_courant_builds_no_vector_on_a_pass(monkeypatch):
+    # the checker computes on item tuples; every Vector is made by
+    # __init__ or by _trusted
+    built = []
+    init, trusted = Vector.__init__, Vector._trusted.__func__
+
+    def counting_init(self, *args):
+        built.append(1)
+        init(self, *args)
+
+    def counting_trusted(cls, *args):
+        built.append(1)
+        return trusted(cls, *args)
+
+    instances = [example(name) for name in PASSING]
+    monkeypatch.setattr(Vector, "__init__", counting_init)
+    monkeypatch.setattr(Vector, "_trusted", classmethod(counting_trusted))
+    for X in instances:
+        assert check_courant(X).passed
+    assert built == []
+    instances[0].A.unit.scale(2)  # the counter counts
+    assert built == [1]
 
 
 def test_check_compat_stops_at_limit():
@@ -254,7 +327,7 @@ def test_mutation_sensitivity_trivial3_names_the_valid_survivors():
 # a Courant algebroid.  The forward bridge must hold on every instance the
 # checker admits.
 
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
 
@@ -300,3 +373,59 @@ def test_forward_bridge_on_mutation_survivors():
     for Y in survivors:
         assert check_courant(Y).passed
         assert check_tca_all(to_1tca(Y)).passed
+
+
+# -- check_courant as the oracle of the two consequence checkers ---------------
+#
+# check_compat and check_annihilation restate identities that follow from
+# check_courant's axioms, so a pass of check_courant must imply a pass of
+# both.  A mutant changes one entry of a built-in, or two: a second entry
+# anywhere, or the transposed entry of a table with equal argument spaces
+# by the same delta, which keeps that table's symmetry (so that, for one,
+# pairing mutants of trivial(n) pass).  The budget is fixed: 300 examples,
+# exact(4) left out for time.
+
+IMPLICATION_INSTANCES = [name for name in PASSING if name != "exact(4)"]
+SHAPES = {"mult": "AAA", "action": "ABB", "bracket": "BBB", "anchor": "BAA",
+          "pairing": "BBA", "partial": "A1B"}
+deltas = st.sampled_from([Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-2), Fraction(3)])
+
+
+def _bump(X, table, i, j, k, delta):
+    """X with entry k of table(e_i, e_j) changed by delta; for partial,
+    entry k of column i."""
+    if table == "partial":
+        cols = list(X.partial.columns)
+        cols[i] = cols[i] + Vector(X.B, {k: delta})
+        return dataclasses.replace(X, partial=LinearMap(X.A.space, X.B, cols))
+    if table == "mult":
+        return dataclasses.replace(X, A=dataclasses.replace(X.A, mult=perturb(X.A.mult, i, j, k, delta)))
+    return dataclasses.replace(X, **{table: perturb(getattr(X, table), i, j, k, delta)})
+
+
+@st.composite
+def one_or_two_entry_mutants(draw):
+    X = example(draw(st.sampled_from(IMPLICATION_INSTANCES)))
+    dims = {"A": X.A.space.dim, "B": X.B.dim, "1": 1}
+
+    def entry():
+        table = draw(st.sampled_from(sorted(SHAPES)))
+        return (table,) + tuple(draw(st.integers(0, dims[c] - 1)) for c in SHAPES[table])
+
+    table, i, j, k = entry()
+    delta = draw(deltas)
+    Y = _bump(X, table, i, j, k, delta)
+    second = draw(st.sampled_from(["none", "any", "transpose"]))
+    if second == "any":
+        Y = _bump(Y, *entry(), draw(deltas))
+    elif second == "transpose" and SHAPES[table][0] == SHAPES[table][1]:
+        Y = _bump(Y, table, j, i, k, delta)
+    return Y
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_or_two_entry_mutants())
+def test_check_courant_pass_implies_consequence_checks_pass(Y):
+    if check_courant(Y).passed:
+        assert check_compat(Y).passed
+        assert check_annihilation(Y).passed

@@ -10,11 +10,14 @@ from courant_vpa.linalg import (
     LinearMap,
     SpaceMismatch,
     Vector,
+    add_items,
     bilin_apply,
+    comb_items,
     lin_comb,
     map_apply,
     rank,
     scalar_from_str,
+    neg_items,
     scalar_to_str,
     solve_linear,
     vec_combine,
@@ -192,10 +195,14 @@ def canonical(c):
 
 def assert_canonical(v, want):
     """v is sorted, zero-free, all canonical scalars, and equals the dense list."""
-    idx = [i for i, _ in v.items]
+    assert_canonical_items(v.items, want)
+
+
+def assert_canonical_items(items, want):
+    idx = [i for i, _ in items]
     assert idx == sorted(set(idx))
-    assert all(canonical(c) for _, c in v.items)
-    assert v.items == tuple((i, c) for i, c in enumerate(want) if c != 0)
+    assert all(canonical(c) for _, c in items)
+    assert items == tuple((i, c) for i, c in enumerate(want) if c != 0)
 
 
 @given(st.lists(entries(W3, R3.dim), min_size=L2.dim, max_size=L2.dim), vectors(L2), vectors(R3))
@@ -221,6 +228,18 @@ def test_lin_comb_on_a_row_or_column_is_bilin_apply(rows, u, v):
     for j, r in enumerate(R3.basis_vectors()):
         column = [row[j] for row in b.table]
         assert_canonical(lin_comb(column, u, W3.zero()), dense(bilin_apply(b, u, r)))
+
+
+@given(entries(W3, L2.dim), vectors(L2), vectors(W3))
+def test_item_kernel_matches_dense_reference(rows, x, w):
+    # comb_items on rows of item tuples, the loop the checkers and lin_comb
+    # run, then the checkers' sum and negation on its result
+    got = comb_items([r.items for r in rows], x.items)
+    want = [sum((x[k] * rows[k][j] for k in range(L2.dim)), Fraction(0)) for j in range(W3.dim)]
+    assert_canonical_items(got, want)
+    assert got == lin_comb(rows, x, W3.zero()).items
+    assert_canonical_items(add_items(got, w.items), [a + b for a, b in zip(want, dense(w))])
+    assert_canonical_items(neg_items(got), [-a for a in want])
 
 
 @given(entries(W3, L2.dim), vectors(L2))
