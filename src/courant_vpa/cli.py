@@ -136,6 +136,10 @@ def cmd_roundtrip(args) -> int:
     a_ok = 0 if "table.mult" in table_fails else 1
     b_ok = sum(1 for t in b_tables if t not in table_fails)
     headline = "A: %d/1 tables equal; B: %d/4 tables equal" % (a_ok, b_ok)
+    # the unit and partial are compared too, and named only when they differ
+    others = [t for t in ("unit", "partial") if "table." + t in table_fails]
+    if others:
+        headline += "; also unequal: %s" % ", ".join(others)
     _emit(
         {"command": "roundtrip", "file": args.file, "max_degree": args.max_degree,
          "headline": headline},

@@ -9,7 +9,7 @@ float.  So the integer arithmetic, most of it, stays in C-level ints.
 
 The public ``Vector(space, coeffs)`` constructor coerces and range-checks
 its input.  Results of the kernel arithmetic (``bilin_apply``,
-``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``, ``vec_combine``) are
+``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``) are
 built by the private ``Vector._trusted``, which skips coercion and the
 range check: their indices come from vectors and tables that were
 validated when they were built.  A kernel result may also be one of its
@@ -21,16 +21,21 @@ change a table through a value it was handed.  Spaces are compared by
 identity first and by name and basis only when they are distinct objects,
 so a separately built, value-equal space is still accepted.
 
+``add_scaled`` is the one accumulation loop: acc += c * items on a dict,
+over (key, scalar) pairs whose keys are basis indices here and monomials
+in ``vlie``, ``vpa`` and ``quotient``.  It leaves a cancelled key at 0,
+and each caller's canonical form drops it.
+
 A Vector's ``items`` are canonical: sorted by index, zero-free, an int
 wherever a scalar is integral, so two vectors of one space are equal
 exactly when their item tuples are.  ``comb_items`` is the one
-combination loop, on item tuples: ``lin_comb`` runs it on the items of
-the vectors it reads (``map_apply`` after its space check, the graded
-view on its tables), and the Courant and conformal checkers run it on
-table rows and columns read once as item tuples (``item_table``), with
-``add_items`` and ``neg_items`` for their sums.  ``canonical`` puts a
-``{index: scalar}`` dict into that form for every kernel result.
-``vec_combine`` runs ``comb_items`` too, on its terms' items.
+combination on item tuples: ``lin_comb`` runs it on the items of the
+vectors it reads (``map_apply`` after its space check, the graded view
+on its tables), and the Courant and conformal checkers and the quotient
+run it on table rows and columns read once as item tuples
+(``item_table``), the checkers with ``add_items`` and ``neg_items`` for
+their sums.  ``canonical`` puts a ``{index: scalar}`` dict into that form
+for every kernel result.
 
 ``Echelon``, the one exact row elimination (the quotient's relations,
 ``rank``, ``solve_linear``), stores each sparse row under its largest key
@@ -255,17 +260,25 @@ def canonical(coeffs: Mapping[int, Scalar]) -> tuple:
     return tuple(sorted([(i, c if type(c) is int else rational(c)) for i, c in coeffs.items() if c]))
 
 
+def add_scaled(acc: dict, items, c: Scalar = 1) -> dict:
+    """acc += c * items in place, over (key, scalar) pairs; returns acc.
+    A key that cancels is left at 0 for the caller's canonical form."""
+    scaled = c != 1
+    for k, w in items:
+        if scaled:
+            w = c * w
+        x = acc.get(k)
+        acc[k] = w if x is None else x + w
+    return acc
+
+
 def add_items(a: tuple, b: tuple) -> tuple:
     """a + b on canonical item tuples."""
     if not a:
         return b
     if not b:
         return a
-    out = dict(a)
-    for i, c in b:
-        x = out.get(i)
-        out[i] = c if x is None else x + c
-    return canonical(out)
+    return canonical(add_scaled(dict(a), b))
 
 
 def neg_items(a: tuple) -> tuple:
@@ -293,26 +306,8 @@ def comb_items(rows, items: tuple) -> tuple:
         return rows[k] if c == 1 else scale_items(rows[k], c)
     out: dict[int, Scalar] = {}
     for k, c in items:
-        for j, w in rows[k]:
-            y = c * w
-            t = out.get(j)
-            out[j] = y if t is None else t + y
+        add_scaled(out, rows[k], c)
     return canonical(out)
-
-
-def vec_combine(terms: Iterable[tuple[object, Vector]]) -> Vector:
-    """Exact linear combination sum(c * v) of vectors in one space."""
-    terms = list(terms)
-    if not terms:
-        raise ValueError("vec_combine needs at least one term")
-    space = terms[0][1].space
-    for _, v in terms:
-        if v.space != space:
-            raise SpaceMismatch(
-                "vec_combine across %r and %r" % (space.name, v.space.name)
-            )
-    coeffs = tuple((k, rational(c)) for k, (c, _) in enumerate(terms))
-    return Vector._trusted(space, comb_items([v.items for _, v in terms], coeffs))
 
 
 class LinearMap:
@@ -523,13 +518,8 @@ def bilin_apply(b: BilinearMap, u: Vector, v: Vector) -> Vector:
         row = table[i]
         for j, d in v_items:
             entry = row[j].items
-            if not entry:
-                continue
-            cd = c * d
-            for k, w in entry:
-                y = cd * w
-                x = out.get(k)
-                out[k] = y if x is None else x + y
+            if entry:
+                add_scaled(out, entry, c * d)
     return Vector._trusted(b.codomain, canonical(out))
 
 

@@ -19,7 +19,12 @@ Fusion works per canonical monomial: one step rewrites its first
 (``leftmost``) or last (``rightmost``) A-factor into its first or last
 D-power factor, and the fused form of the monomial is the combination of
 the fused forms of the monomials that step produces.  Fusion is linear,
-so an element fuses term by term.  Stage two is needed because the fused
+so an element fuses term by term.  The base tables are read once, at
+construction, as item tuples (``linalg.item_table``): the rows and
+columns of the multiplication and the action, and the columns of
+``partial``.  A product in A and the premises of ``_build_relations``
+are ``linalg.comb_items`` on them, and every sum of fused or normal
+forms is ``linalg.add_scaled``.  Stage two is needed because the fused
 monomials in D^n(b) generators span each graded piece but are not
 independent in general: when the module action has a kernel, distinct
 fusion orders land on different monomial combinations that are congruent
@@ -84,7 +89,9 @@ from .courant import (
     to_1tca,
 )
 from .graded import assemble_view, extract_courant
-from .linalg import BasedSpace, Echelon, LinearMap, Scalar, Vector, format_vector, rank
+from .linalg import (
+    BasedSpace, Echelon, LinearMap, Scalar, Vector, add_scaled, comb_items, format_vector, item_table, rank,
+)
 from .reports import CheckReport, Violation
 from .vlie import VertexLie
 from .vpa import (
@@ -115,32 +122,22 @@ class IdealGenerators:
     each relator identifies, and () for e - 1."""
 
     def __init__(self, quotient: "CourantQuotient"):
-        sym = quotient.sym
+        sym, vlie = quotient.sym, quotient.vlie
         A = quotient.X.A
         B = quotient.X.B
-        e0: list[tuple[str, SCElement]] = []
-        unit_elem = SCElement(
-            {(("a", i),): c for i, c in A.unit.items}
-        ) - sym.one()
-        e0.append(("e-1", unit_elem))
+        e0: list[tuple[str, SCElement]] = [("e-1", vlie.from_a(A.unit) - sym.one())]
         heads: list[Monomial] = [()]
         for i, la in enumerate(A.space.basis):
             for j, lb in enumerate(A.space.basis):
                 if j < i:
                     continue
-                prod = A.product(A.space.unit_vector(la), A.space.unit_vector(lb))
-                rel = sym.monomial([("a", i), ("a", j)]) - SCElement(
-                    {(("a", k),): c for k, c in prod.items}
-                )
+                rel = sym.monomial([("a", i), ("a", j)]) - vlie.from_a(A.mult.table[i][j])
                 e0.append(("%s.%s-%s%s" % (la, lb, la, lb), rel))
                 heads.append((("a", i), ("a", j)))
         e1: list[tuple[str, SCElement]] = []
         for i, la in enumerate(A.space.basis):
             for j, lb in enumerate(B.basis):
-                ab = quotient.X.act(A.space.unit_vector(la), B.unit_vector(lb))
-                rel = sym.monomial([("a", i), ("b", 0, j)]) - SCElement(
-                    {(("b", 0, k),): c for k, c in ab.items}
-                )
+                rel = sym.monomial([("a", i), ("b", 0, j)]) - vlie.from_b(quotient.X.action.table[i][j])
                 e1.append(("%s.%s-%s%s" % (la, lb, la, lb), rel))
                 heads.append((("a", i), ("b", 0, j)))
         self.E0 = e0
@@ -166,16 +163,6 @@ class _FusionMemo:
         return sum(len(t) for t in self.fused.values()) + sum(len(t) for t in self.normal.values())
 
 
-def _combine(coeffs, rows) -> dict[int, Scalar]:
-    """sum c.rows[i] over (i, c) pairs, for rows of (index, coefficient)
-    pairs, with zero coefficients dropped."""
-    acc: dict[int, Scalar] = {}
-    for i, c in coeffs:
-        for k, w in rows[i]:
-            acc[k] = acc.get(k, 0) + c * w
-    return {k: w for k, w in acc.items() if w}
-
-
 def _a_count(m: Monomial) -> int:
     """Number of A-factors; they lead a canonical monomial."""
     k = 0
@@ -197,12 +184,11 @@ class CourantQuotient:
         self.sym = SymAlgebra(self.vlie)
         self.cutoff = cutoff
         self.relators = IdealGenerators(self)
-        # the base tables as (index, coefficient) rows, read by every fusion step
-        A, B = X.A.space.basis_vectors(), X.B.basis_vectors()
+        # the base tables as item tuples, read by every fusion step
         self._unit = tuple(x for i, c in X.A.unit.items for x in ((("a", i),), c))
-        self._mult = [[X.A.product(a, b).items for b in A] for a in A]
-        self._act = [[X.act(a, u).items for u in B] for a in A]
-        self._partial = [X.d(a).items for a in A]
+        self._mult, self._multc = item_table(X.A.mult)
+        self._act, self._actc = item_table(X.action)
+        self._partial = [v.items for v in X.partial.columns]
         self._memo: _FusionMemo | None = None
         self._counts = dict.fromkeys(
             ("shadows_inserted", "shadows_skipped", "rows_kept", "fusion_steps", "peak_memo_entries",
@@ -285,22 +271,17 @@ class CourantQuotient:
             acc: dict[Monomial, Scalar] = {}
             for child, c in plans[m]:
                 got = done.get(child)
-                for t, w in _pairs(table[child] if got is None else got):
-                    acc[t] = acc.get(t, 0) + c * w
+                add_scaled(acc, _pairs(table[child] if got is None else got), c)
             done[m] = _flat(_nonzero(acc))
         table.update(done)
         return table
 
     def _fuse_a_product(self, m: Monomial) -> tuple:
         """A pure A-factor monomial is its product in A."""
-        vec = {m[0][1]: 1}
+        vec = ((m[0][1], 1),)
         for f in m[1:]:
-            out: dict[int, Scalar] = {}
-            for i, c in vec.items():
-                for k, w in self._mult[i][f[1]]:
-                    out[k] = out.get(k, 0) + c * w
-            vec = out
-        return tuple(x for i, c in vec.items() if c for x in ((("a", i),), c))
+            vec = comb_items(self._multc[f[1]], vec)
+        return tuple(x for i, c in vec for x in ((("a", i),), c))
 
     def _fusion_step(self, m: Monomial, k: int, left: bool) -> list:
         """One rewrite a . D^n(b) of the first (or last) A-factor into the
@@ -357,8 +338,8 @@ class CourantQuotient:
         The shadow of a seed m.D^k(g), m pure B, is F(m.D^k g) with F the
         leftmost fusion, linear in the terms.  Four families of shadows are
         0 by construction and are skipped.  Each premise is read off the
-        rows ``_act``, ``_partial`` and ``_mult``, so it is tested, not
-        assumed, when the algebroid is not certified.
+        item tables ``_act``, ``_partial`` and ``_mult`` and their columns,
+        so it is tested, not assumed, when the algebroid is not certified.
 
         Lemma: if the unit is a basis vector e_u with e_u.b = b, p(e_u) = 0
         and e_u a = a e_u = a, then F(e_u.M) = F(M).  By induction on the
@@ -447,7 +428,7 @@ class CourantQuotient:
         if len(self._unit) != 2 or self._unit[1] != 1:
             return None
         u = self._unit[0][0][1]
-        rows = self._mult[u], [row[u] for row in self._mult], self._act[u]
+        rows = self._mult[u], self._multc[u], self._act[u]
         if self._partial[u] or any(r != ((i, 1),) for got in rows for i, r in enumerate(got)):
             return None
         return u
@@ -455,13 +436,10 @@ class CourantQuotient:
     def _unit_fixes_b(self) -> bool:
         """Whether e.b = b for every b and p(e) = 0, for the unit e as a
         combination of basis vectors."""
-        unit = [(t[0][1], c) for t, c in _pairs(self._unit)]
-        if _combine(unit, self._partial):
+        unit = self.X.A.unit.items
+        if comb_items(self._partial, unit):
             return False
-        return all(
-            _combine(unit, [row[b] for row in self._act]) == {b: 1}
-            for b in range(self.X.B.dim)
-        )
+        return all(comb_items(self._actc[b], unit) == ((b, 1),) for b in range(self.X.B.dim))
 
     def _assoc_bounds(self, head: Monomial) -> dict:
         """For an E0 head a_i.a_j: b -> the largest D^0(b_l) in the support
@@ -473,7 +451,7 @@ class CourantQuotient:
         out = {}
         for b in range(self.X.B.dim):
             ab = self._act[i][b]
-            if _combine(ab, self._act[j]) == _combine(self._mult[i][j], [r[b] for r in self._act]):
+            if comb_items(self._act[j], ab) == comb_items(self._actc[b], self._mult[i][j]):
                 out[b] = ("b", 0, max((l for l, _ in ab), default=-1))
         return out
 
@@ -508,8 +486,7 @@ class CourantQuotient:
                 normal[m] = _flat(self._normal_terms(dict(_pairs(table[m]))))
         acc: dict[Monomial, Scalar] = {}
         for m, c in u.terms.items():
-            for t, w in _pairs(normal[m]):
-                acc[t] = acc.get(t, 0) + c * w
+            add_scaled(acc, _pairs(normal[m]), c)
         return SCElement(acc)
 
     def _fused_sum(self, terms, strategy: str) -> dict[Monomial, Scalar]:
@@ -518,8 +495,7 @@ class CourantQuotient:
         table = self._fuse([m for m, _ in terms], strategy)
         acc: dict[Monomial, Scalar] = {}
         for m, c in terms:
-            for t, w in _pairs(table[m]):
-                acc[t] = acc.get(t, 0) + c * w
+            add_scaled(acc, _pairs(table[m]), c)
         return acc
 
     def _normal_terms(self, fused: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:

@@ -60,8 +60,9 @@ class CriterionResult:
 
 def _mutations(X, delta=1):
     """Every single-entry perturbation by ``delta`` of every structure
-    table, as ``(label, mutant)``; the label names the table and the
-    entry's indices, as in ``bracket[0,1,2]`` or ``partial[0,1]``."""
+    table, the unit of A last, as ``(label, mutant)``; the label names the
+    table and the entry's indices, as in ``bracket[0,1,2]``, ``partial[0,1]``
+    or ``unit[0]``."""
     tables = {
         "mult": X.A.mult, "action": X.action, "bracket": X.bracket,
         "anchor": X.anchor, "pairing": X.pairing,
@@ -86,6 +87,12 @@ def _mutations(X, delta=1):
                 A=X.A, B=X.B, action=X.action, bracket=X.bracket, anchor=X.anchor,
                 pairing=X.pairing, partial=LinearMap(X.A.space, X.B, cols),
             )
+    for k in range(X.A.space.dim):
+        unit = X.A.unit + Vector(X.A.space, {k: delta})
+        yield "unit[%d]" % k, CourantAlgebroid(
+            A=UnitalCommAlgebra(X.A.space, X.A.mult, unit), B=X.B, action=X.action,
+            bracket=X.bracket, anchor=X.anchor, pairing=X.pairing, partial=X.partial,
+        )
 
 
 def _mutation_caught(Y) -> bool:

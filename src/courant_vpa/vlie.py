@@ -43,7 +43,7 @@ from functools import lru_cache
 from math import factorial
 
 from . import laws
-from .linalg import Scalar, Vector, bilin_apply, map_apply, rational
+from .linalg import Scalar, Vector, add_scaled, bilin_apply, map_apply, rational
 from .reports import CheckReport, Violation
 from .tca import OneTruncatedConformalAlgebra
 
@@ -90,10 +90,7 @@ class SCElement:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other: "SCElement") -> "SCElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            out[m] = out[m] + c if m in out else c
-        return SCElement(out)
+        return SCElement(add_scaled(dict(self.terms), other.terms.items()))
 
     def __sub__(self, other: "SCElement") -> "SCElement":
         return self + other.scale(-1)
@@ -116,10 +113,8 @@ def combine(terms) -> SCElement:
     """sum of coef * elem over (coef, elem) pairs."""
     acc: dict[Monomial, Scalar] = {}
     for coef, u in terms:
-        for m, c in u.terms.items():
-            if coef != 1:
-                c = c * coef
-            acc[m] = acc[m] + c if m in acc else c
+        if u.terms:  # most terms the laws sum are zero elements: skip their calls
+            add_scaled(acc, u.terms.items(), coef)
     return SCElement(acc)
 
 
@@ -206,18 +201,12 @@ class VertexLie:
         for (f,), coef in c.terms.items():
             if f[0] == "b":  # shifts never collide, nor land on D^0
                 acc[(("b", f[1] + 1, f[2]),)] = coef
-                continue
-            for j, w in self.tca.partial.columns[f[1]].items:
-                m = (("b", 0, j),)
-                acc[m] = acc.get(m, 0) + coef * w
+            else:
+                pa = self.tca.partial.columns[f[1]].items
+                add_scaled(acc, (((("b", 0, j),), w) for j, w in pa), coef)
         return SCElement(acc)
 
     combine = staticmethod(combine)
-
-    def d_pow(self, c: SCElement, k: int) -> SCElement:
-        for _ in range(k):
-            c = self.d(c)
-        return c
 
     # -- closed-form products -------------------------------------------
 
@@ -286,10 +275,7 @@ class VertexLie:
         acc: dict[Monomial, Scalar] = {}
         for (f,), cu in u.terms.items():
             for (g,), cv in v.terms.items():
-                c = cu * cv
-                for m, w in self.generator_product(i, f, g).terms.items():
-                    w = w * c
-                    acc[m] = acc[m] + w if m in acc else w
+                add_scaled(acc, self.generator_product(i, f, g).terms.items(), cu * cv)
         return SCElement(acc)
 
     # -- the series oracle ------------------------------------------------

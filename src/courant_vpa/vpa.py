@@ -52,7 +52,7 @@ from itertools import combinations_with_replacement
 from math import factorial
 
 from . import laws
-from .linalg import Scalar, rational
+from .linalg import Scalar, add_scaled, rational
 from .reports import CheckReport, Violation
 from .vlie import (
     CutoffError,
@@ -218,17 +218,12 @@ class SymAlgebra:
     def _d_terms(self, terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
         acc: dict[Monomial, Scalar] = {}
         for m, c in terms.items():
-            self._add_times(acc, _pairs(self._d_monomial(m)), (), c)
+            add_scaled(acc, _pairs(self._d_monomial(m)), c)
         return _nonzero(acc)
 
     def d(self, u: SCElement) -> SCElement:
         """The derivation extending D: Leibniz over factors."""
         return SCElement(self._d_terms(u.terms))
-
-    def d_pow(self, u: SCElement, k: int) -> SCElement:
-        for _ in range(k):
-            u = self.d(u)
-        return u
 
     # -- the n-th products --------------------------------------------------
 
@@ -291,7 +286,7 @@ class SymAlgebra:
             for _ in range(j - n):
                 terms = self._d_terms(terms)
             coef = rational(Fraction((-1) ** (j + 1), factorial(j - n)))
-            self._add_times(acc, terms.items(), (), coef)
+            add_scaled(acc, terms.items(), coef)
         return _nonzero(acc)
 
     def product(self, n: int, u: SCElement, v: SCElement, route: str = "auto") -> SCElement:
@@ -315,7 +310,7 @@ class SymAlgebra:
             for mv, cv in v.terms.items():
                 w = self._pair(kind, n, mu, mv)
                 if w:
-                    self._add_times(acc, _pairs(w), (), cv if unit else cu * cv)
+                    add_scaled(acc, _pairs(w), cv if unit else cu * cv)
         return SCElement(acc)
 
 

@@ -99,6 +99,34 @@ def test_roundtrip_reports_a_changed_table(monkeypatch, capsys):
     assert "A: 1/1 tables equal; B: 3/4 tables equal" in out
 
 
+@pytest.mark.parametrize("table", ["unit", "partial"])
+def test_roundtrip_headline_names_a_changed_unit_or_partial(monkeypatch, capsys, table):
+    # the read-back gives exact(2) with the first coordinate of the unit, or
+    # the first entry of partial's first column, bumped by +1
+    from dataclasses import replace
+
+    from courant_vpa.courant import UnitalCommAlgebra
+    from courant_vpa.linalg import LinearMap, Vector
+    from courant_vpa.quotient import CourantQuotient
+
+    extract = CourantQuotient.extract_degree01
+
+    def bumped(self):
+        alg, Y = extract(self)
+        if table == "unit":
+            unit = Y.A.unit + Vector(Y.A.space, {0: 1})
+            return alg, replace(Y, A=UnitalCommAlgebra(Y.A.space, Y.A.mult, unit))
+        cols = list(Y.partial.columns)
+        cols[0] = cols[0] + Vector(Y.B, {0: 1})
+        return alg, replace(Y, partial=LinearMap(Y.A.space, Y.B, cols))
+
+    monkeypatch.setattr(CourantQuotient, "extract_degree01", bumped)
+    code, out, _ = run(capsys, "roundtrip", fixture_path("exact2.cvpa"), "--max-degree", "2")
+    assert code == 1
+    assert "quotient/table.%s" % table in out
+    assert "A: 1/1 tables equal; B: 4/4 tables equal; also unequal: %s" % table in out
+
+
 def test_roundtrip_json(capsys):
     code, out, _ = run(capsys, "roundtrip", fixture_path("heisenberg.cvpa"), "--max-degree", "3", "--json")
     assert code == 0

@@ -24,7 +24,6 @@ from courant_vpa.linalg import (
     rational,
     scalar_from_str,
     solve_linear,
-    vec_combine,
 )
 from courant_vpa.quotient import CourantQuotient, random_corpus
 from courant_vpa.selftest import ROUNDTRIP_EXAMPLES
@@ -96,7 +95,6 @@ def test_entry_points_refuse_floats():
         lambda: Vector(S, {0: 0.1}),
         lambda: S.vector({"a": 0.5}),
         lambda: u.scale(0.5),
-        lambda: vec_combine([(0.5, u)]),
         lambda: solve_linear([[0.5]], [1]),
         lambda: solve_linear([[1]], [0.5]),
         lambda: SCElement({(("a", 0),): 0.5}),

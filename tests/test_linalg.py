@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from courant_vpa.linalg import (
     BasedSpace,
@@ -11,6 +11,7 @@ from courant_vpa.linalg import (
     SpaceMismatch,
     Vector,
     add_items,
+    add_scaled,
     bilin_apply,
     comb_items,
     lin_comb,
@@ -20,7 +21,6 @@ from courant_vpa.linalg import (
     neg_items,
     scalar_to_str,
     solve_linear,
-    vec_combine,
 )
 
 V3 = BasedSpace("V", ["a", "b", "c"])
@@ -47,24 +47,6 @@ def test_vector_canonical_form_drops_zeros():
     v = Vector(V3, {0: Fraction(0), 2: Fraction(3)})
     assert v.items == ((2, Fraction(3)),)
     assert v == vec(c=3)
-
-
-def test_vec_combine_identity_and_cancellation():
-    v = vec(a=1, b=2)
-    assert vec_combine([(1, v)]) == v
-    assert vec_combine([(1, v), (-1, v)]).is_zero()
-
-
-def test_vec_combine_rational_addition():
-    e1 = V3.unit_vector("a")
-    got = vec_combine([(Fraction(1, 2), e1), (Fraction(1, 3), e1)])
-    assert got == V3.vector({"a": Fraction(5, 6)})
-
-
-def test_vec_combine_space_mismatch():
-    other = BasedSpace("W", ["x"])
-    with pytest.raises(SpaceMismatch):
-        vec_combine([(1, vec(a=1)), (1, other.unit_vector("x"))])
 
 
 def test_map_apply_zero_identity_and_linearity():
@@ -259,10 +241,23 @@ def test_add_sub_scale_match_dense_reference(u, v, f):
     assert (u - u).is_zero() and (u + (-u)).is_zero()
 
 
-@given(st.lists(st.tuples(kernel_scalars, vectors(W3)), min_size=1, max_size=4))
-def test_vec_combine_matches_dense_reference(terms):
-    want = [sum((c * v[k] for c, v in terms), Fraction(0)) for k in range(W3.dim)]
-    assert_canonical(vec_combine(terms), want)
+sum_keys = st.sampled_from([0, 1, 2, (("a", 0),), (("b", 1, 0),)])
+
+
+@example({0: 2}, [(0, 1)], -2)
+@given(
+    st.dictionaries(sum_keys, kernel_scalars, max_size=4),
+    st.lists(st.tuples(sum_keys, kernel_scalars), max_size=6),
+    st.just(1) | st.integers(-3, 3) | kernel_scalars,
+)
+def test_add_scaled_matches_dense_reference(acc, items, c):
+    # acc += c * items on index or monomial keys, in place and returned;
+    # a key that cancels stays, at 0
+    support = dict.fromkeys([*acc, *(k for k, _ in items)])
+    want = {k: acc.get(k, 0) + c * sum((w for j, w in items if j == k), Fraction(0)) for k in support}
+    got = add_scaled(acc, items, c)
+    assert got is acc
+    assert got == want
 
 
 def test_bilin_apply_cancels_to_zero():

@@ -95,7 +95,9 @@ def reference_relations(q):
         for _, g in q.relators.all():
             gdeg = g.max_degree()
             for k in range(0, n - gdeg + 1):
-                dk = sym.d_pow(g, k)
+                dk = g
+                for _ in range(k):
+                    dk = sym.d(dk)
                 for m in q._pure_b_monomials(n - gdeg - k):
                     ech.insert(fuse_only(sym.multiply(SCElement({m: Fraction(1)}), dk)))
         changed = True

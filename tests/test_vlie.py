@@ -2,6 +2,7 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
@@ -11,6 +12,7 @@ from courant_vpa.vlie import (
     VertexLie,
     check_oracle_agreement,
     check_vertex_lie,
+    combine,
 )
 
 
@@ -126,7 +128,9 @@ def test_half_skew_symmetry_at_generators():
                 rhs = inst.zero()
                 for j in range(0, total - i):
                     w = inst.product(i + j, v, u)
-                    rhs = rhs + inst.d_pow(w, j).scale(
+                    for _ in range(j):
+                        w = inst.d(w)
+                    rhs = rhs + w.scale(
                         Fraction((-1) ** (i + j + 1), factorial(j))
                     )
                 assert inst.product(i, u, v) == rhs, (lu, lv, i)
@@ -226,3 +230,33 @@ def test_elements_are_single_factor_sc_elements(name):
     got += [inst.sing_oracle(i, u, v) for u in specs for v in specs for i in range(3)]
     assert all(type(e) is SCElement for e in got)
     assert all(len(m) == 1 for e in got for m in e.terms)
+
+
+# -- sums and products against a dense bilinear reference ---------------------
+#
+# Degrees stay at most 2 so that every i-th product fits the cutoff 3, and
+# coefficients come from a short list, so that sums and products cancel.
+
+DENSE = make("exact(2)", cutoff=3)
+ALL_FACTORS = [m for _, e in DENSE.basis_elements() for m in e.terms]
+low_factors = [m for _, e in DENSE.basis_elements(2) for m in e.terms]
+dense_coefs = st.sampled_from([1, -1, 2, -2, Fraction(1, 2), Fraction(-3, 2)])
+dense_elements = st.dictionaries(st.sampled_from(low_factors), dense_coefs, max_size=4).map(SCElement)
+
+
+def dense_of(u):
+    assert 0 not in u.terms.values()
+    return [u.terms.get(m, 0) for m in ALL_FACTORS]
+
+
+@given(dense_elements, dense_elements, dense_coefs, st.integers(0, 3))
+def test_sums_and_products_match_dense_reference(u, v, c, i):
+    du, dv = dense_of(u), dense_of(v)
+    assert dense_of(u + v) == [a + b for a, b in zip(du, dv)]
+    assert dense_of(combine([(c, u), (1, v), (-1, u)])) == [(c - 1) * a + b for a, b in zip(du, dv)]
+    want = [0] * len(ALL_FACTORS)
+    for (f,), cu in u.terms.items():
+        for (g,), cv in v.terms.items():
+            w = dense_of(DENSE.generator_product(i, f, g))
+            want = [x + cu * cv * y for x, y in zip(want, w)]
+    assert dense_of(DENSE.product(i, u, v)) == want

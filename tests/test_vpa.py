@@ -80,7 +80,9 @@ def test_heisenberg_frozen_skew_value_and_hs_flip():
     rhs = sym.zero()
     for i in range(0, 3):
         w = sym.product(i, beta, bb)
-        rhs = rhs + sym.d_pow(w, i).scale(Fraction((-1) ** (0 + i + 1), [1, 1, 2][i]))
+        for _ in range(i):
+            w = sym.d(w)
+        rhs = rhs + w.scale(Fraction((-1) ** (0 + i + 1), [1, 1, 2][i]))
     assert got == rhs
 
 
