@@ -8,14 +8,14 @@ to the whole space.
 
 They read the tables by basis index.  A bilinear map with one argument a
 basis vector is the linear map given by that row (or column) of its
-table: b(e_i, e_j) is table[i][j] and b(e_i, x) is lin_comb(table[i], x,
-zero).  Shapes were checked at construction, so this equals bilin_apply
-exactly with no space check.  check_courant reads each table and its
-columns once per call as item tuples (linalg.item_table) and computes
-b(e_i, x) as comb_items(rows[i], x) on them, so each identity compares two
-canonical tuples; a violation's sides are printed from the tuples by
-format_items, which renders them as format_vector renders a Vector.
-check_compat and check_annihilation compute on Vectors through lin_comb.
+table: b(e_i, e_j) is table[i][j] and b(e_i, x) combines row i by the
+coefficients of x.  Each checker reads its tables and their columns once
+per call as item tuples (linalg.item_table) and computes b(e_i, x) as
+comb_items(rows[i], x) on them; shapes were checked at construction, so
+this equals bilin_apply exactly with no space check, and each identity
+compares two canonical tuples.  A violation's sides are printed from the
+tuples by format_items, which renders them as format_vector renders a
+Vector.
 """
 
 from __future__ import annotations
@@ -30,12 +30,9 @@ from .linalg import (
     Vector,
     add_items,
     bilin_apply,
-    columns,
     comb_items,
     format_items,
-    format_vector,
     item_table,
-    lin_comb,
     map_apply,
     neg_items,
     solve_linear,
@@ -275,25 +272,24 @@ def check_annihilation(X: CourantAlgebroid) -> CheckReport:
     """Consequence checks: p(A) annihilates A and B; <,> and p are
     B-module homomorphisms.  A failure here on a structure that passes
     check_courant signals an internal error, not bad input."""
-    fmt = format_vector
     out = []
     la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
-    zA, zB = X.A.space.zero(), X.B.zero()
-    Brk, Anc, D = X.bracket.table, X.anchor.table, X.partial.columns
-    Brkc, Ancc = columns(X.bracket), columns(X.anchor)
+    (Brk, Brkc), (Anc, Ancc) = item_table(X.bracket), item_table(X.anchor)
+    D = [col.items for col in X.partial.columns]
+    fa, fb = partial(format_items, X.A.space), partial(format_items, X.B)
     for i in range(len(la)):
         for p in range(len(lu)):
-            lhs = lin_comb(Brkc[p], D[i], zB)
-            if not lhs.is_zero():
-                out.append(Violation(MODULE, "annih.bracket", (la[i], lu[p]), fmt(lhs), "0"))
-            lhs = lin_comb(D, Anc[p][i], zB)
-            rhs = lin_comb(Brk[p], D[i], zB)
+            lhs = comb_items(Brkc[p], D[i])
+            if lhs:
+                out.append(Violation(MODULE, "annih.bracket", (la[i], lu[p]), fb(lhs), "0"))
+            lhs = comb_items(D, Anc[p][i])
+            rhs = comb_items(Brk[p], D[i])
             if lhs != rhs:
-                out.append(Violation(MODULE, "annih.phom", (lu[p], la[i]), fmt(lhs), fmt(rhs)))
+                out.append(Violation(MODULE, "annih.phom", (lu[p], la[i]), fb(lhs), fb(rhs)))
         for j in range(len(la)):
-            lhs = lin_comb(Ancc[j], D[i], zA)
-            if not lhs.is_zero():
-                out.append(Violation(MODULE, "annih.anchor", (la[i], la[j]), fmt(lhs), "0"))
+            lhs = comb_items(Ancc[j], D[i])
+            if lhs:
+                out.append(Violation(MODULE, "annih.anchor", (la[i], la[j]), fa(lhs), "0"))
     return CheckReport(out)
 
 
@@ -306,41 +302,42 @@ def check_compat(X: CourantAlgebroid, limit: int | None = None) -> CheckReport:
         u_0 (av) = a (u_0 v) + (u_0 a) v
         u_0 (aa') = a (u_0 a') + (u_0 a) a'
     """
-    fmt = format_vector
     la, lu = ["a=" + l for l in X.A.space.basis], ["u=" + l for l in X.B.basis]
     ra, rb = range(len(la)), range(len(lu))
-    e, zA, zB = X.A.unit, X.A.space.zero(), X.B.zero()
-    M, Act, Brk, Anc, Pair = (t.table for t in (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
-    Mc, Actc, Ancc, Pairc = map(columns, (X.A.mult, X.action, X.anchor, X.pairing))
+    e = X.A.unit.items
+    (M, Mc), (Act, Actc), (Brk, _), (Anc, Ancc), (Pair, Pairc) = map(
+        item_table, (X.A.mult, X.action, X.bracket, X.anchor, X.pairing))
+    comb, add = comb_items, add_items
+    fa, fb = partial(format_items, X.A.space), partial(format_items, X.B)
 
     def part():
         for p in rb:
-            lhs = lin_comb(Anc[p], e, zA)
-            if not lhs.is_zero():
-                yield Violation(MODULE, "compat.u0e", (lu[p],), fmt(lhs), "0")
+            lhs = comb(Anc[p], e)
+            if lhs:
+                yield Violation(MODULE, "compat.u0e", (lu[p],), fa(lhs), "0")
             for i in ra:
                 au = Act[i][p]
                 for j in ra:
-                    lhs = lin_comb(Ancc[j], au, zA)
-                    rhs = lin_comb(M[i], Anc[p][j], zA)
+                    lhs = comb(Ancc[j], au)
+                    rhs = comb(M[i], Anc[p][j])
                     if lhs != rhs:
-                        yield Violation(MODULE, "compat.dera1", (la[i], lu[p], la[j]), fmt(lhs), fmt(rhs))
-                    lhs = lin_comb(Anc[p], M[i][j], zA)
-                    rhs = rhs + lin_comb(Mc[j], Anc[p][i], zA)
+                        yield Violation(MODULE, "compat.dera1", (la[i], lu[p], la[j]), fa(lhs), fa(rhs))
+                    lhs = comb(Anc[p], M[i][j])
+                    rhs = add(rhs, comb(Mc[j], Anc[p][i]))
                     if lhs != rhs:
-                        yield Violation(MODULE, "compat.dec", (lu[p], la[i], la[j]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "compat.dec", (lu[p], la[i], la[j]), fa(lhs), fa(rhs))
                 for q in rb:
-                    lhs = lin_comb(Pairc[q], au, zA)
-                    rhs = lin_comb(M[i], Pair[p][q], zA)
+                    lhs = comb(Pairc[q], au)
+                    rhs = comb(M[i], Pair[p][q])
                     if lhs != rhs:
-                        yield Violation(MODULE, "compat.syma", (la[i], lu[p], lu[q]), fmt(lhs), fmt(rhs))
-                    lhs = lin_comb(Pair[p], Act[i][q], zA)
+                        yield Violation(MODULE, "compat.syma", (la[i], lu[p], lu[q]), fa(lhs), fa(rhs))
+                    lhs = comb(Pair[p], Act[i][q])
                     if lhs != rhs:
-                        yield Violation(MODULE, "compat.syma2", (lu[p], la[i], lu[q]), fmt(lhs), fmt(rhs))
-                    lhs = lin_comb(Brk[p], Act[i][q], zB)
-                    rhs = lin_comb(Act[i], Brk[p][q], zB) + lin_comb(Actc[q], Anc[p][i], zB)
+                        yield Violation(MODULE, "compat.syma2", (lu[p], la[i], lu[q]), fa(lhs), fa(rhs))
+                    lhs = comb(Brk[p], Act[i][q])
+                    rhs = add(comb(Act[i], Brk[p][q]), comb(Actc[q], Anc[p][i]))
                     if lhs != rhs:
-                        yield Violation(MODULE, "compat.dera2", (lu[p], la[i], lu[q]), fmt(lhs), fmt(rhs))
+                        yield Violation(MODULE, "compat.dera2", (lu[p], la[i], lu[q]), fb(lhs), fb(rhs))
 
     return _first([part()], limit)
 

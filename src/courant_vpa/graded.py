@@ -24,7 +24,17 @@ from math import factorial
 from typing import TYPE_CHECKING
 
 from .courant import CourantAlgebroid, StructureError, UnitalCommAlgebra
-from .linalg import BasedSpace, BilinearMap, LinearMap, Vector, bilin_apply, canonical, lin_comb, map_apply
+from .linalg import (
+    BasedSpace,
+    BilinearMap,
+    LinearMap,
+    Scalar,
+    Vector,
+    add_scaled,
+    canonical,
+    comb_items,
+    rational,
+)
 from .vpa import Monomial, SCElement, factor_degree, format_monomial, mono_degree
 
 if TYPE_CHECKING:  # quotient.py reads its degrees 0 and 1 back through this module
@@ -100,15 +110,6 @@ def _top(u: SCElement) -> int:
     return max((factor_degree(m[-1]) for m in u.terms if m), default=0)
 
 
-def _sum(terms: list[Vector], zero: Vector) -> Vector:
-    """The sum of ``terms``, all in the space of ``zero``."""
-    out = zero
-    for w in terms:
-        if w.items:
-            out = out + w if out.items else w
-    return out
-
-
 def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaView:
     """Serialize the quotient algebra's graded pieces into a view.
 
@@ -138,6 +139,12 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
     already there: hd and dcomm read entries with the same left degree and
     a lower right degree, and hs reads entries with left degree <= 1.
 
+    Until the view is returned, every table is a list of canonical item
+    tuples (see ``linalg``): a product with a table row is ``comb_items``,
+    and each derived entry sums its terms into one dict by ``add_scaled``.
+    The tables become ``LinearMap``s and ``BilinearMap``s once, at the end,
+    every zero entry the one zero ``Vector`` of its degree.
+
     A product entry u_n v is zero and not computed when n >= top(u) +
     top(v) (see ``_top``): it is zero by grading.
     ``VertexLie._gen_product`` gives g_j f = 0 for generators once j >=
@@ -154,106 +161,93 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
     top = q.cutoff if cutoff is None else min(cutoff, q.cutoff)
     with q.memoized():
         A = q.X.A.space
-        B = q.X.B
         sym = q.sym
-        spaces = [A, B]
-        monos: dict[int, list[Monomial]] = {}
+        spaces = [A, q.X.B]
+        # each degree's basis monomials: the single factors ("a", i) and
+        # ("b", 0, i), then the quotient's basis monomials, each leading no
+        # relation, so every basis monomial is its own normal form
+        monos = [[(("a", i),) for i in range(A.dim)], q.basis_monomials(1)]
         for n in range(2, top + 1):
-            ms = q.basis_monomials(n)
-            monos[n] = ms
-            spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in ms]))
-
-        # the normal forms of each degree's basis; a basis monomial of
-        # degree >= 2 leads no relation, so it is its own normal form
-        elems = [
-            [q.embed_a(v) for v in A.basis_vectors()],
-            [q.embed_b(v) for v in B.basis_vectors()],
-        ] + [[SCElement({m: 1}) for m in monos[p]] for p in range(2, top + 1)]
+            monos.append(q.basis_monomials(n))
+            spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in monos[n]]))
+        elems = [[SCElement({m: 1}) for m in ms] for ms in monos]
         tops = [[_top(u) for u in es] for es in elems]
-        indices = {p: {m: i for i, m in enumerate(ms)} for p, ms in monos.items()}
+        indices = [{m: i for i, m in enumerate(ms)} for ms in monos]
 
-        def expand(w, degree: int) -> Vector:
-            u = q.reduce(w)
-            if degree == 0:
-                return q.to_a_vector(u)
-            if degree == 1:
-                return q.to_b_vector(u)
+        def expand(w, degree: int) -> tuple:
             index = indices[degree]
             try:
-                coeffs = {index[m]: c for m, c in u.terms.items()}
+                return canonical({index[m]: c for m, c in q.reduce(w).terms.items()})
             except KeyError:
                 raise StructureError("non-canonical monomial in expansion") from None
-            return Vector._trusted(spaces[degree], canonical(coeffs))
 
-        d_maps = []
-        for r in range(top):
-            cols = [expand(sym.d(u), r + 1) for u in elems[r]]
-            d_maps.append(LinearMap(spaces[r], spaces[r + 1], cols))
-        mult = {}
-        for p in range(top + 1):
-            for qd in range(top + 1 - p):
-                rows = []
-                for u in elems[p]:
-                    rows.append([expand(sym.multiply(u, v), p + qd) for v in elems[qd]])
-                mult[(p, qd)] = BilinearMap(spaces[p], spaces[qd], spaces[p + qd], rows)
+        d_cols = [[expand(sym.d(u), r + 1) for u in elems[r]] for r in range(top)]
+        mult = {
+            (p, qd): [[expand(sym.multiply(u, v), p + qd) for v in elems[qd]] for u in elems[p]]
+            for p in range(top + 1)
+            for qd in range(top + 1 - p)
+        }
 
         # normal forms of the factors hd and dcomm split a basis monomial
-        # into, as vectors of their degrees; a basis monomial is its own
-        normal = {(("b", 0, i),): e for i, e in enumerate(B.basis_vectors())}
-        for p, ms in monos.items():
-            normal.update(zip(ms, spaces[p].basis_vectors()))
+        # into, as items of their degrees
+        normal = {m: ((i, 1),) for index in indices for m, i in index.items()}
 
-        def normal_form(m: Monomial) -> Vector:
+        def normal_form(m: Monomial) -> tuple:
             got = normal.get(m)
             if got is None:
                 got = normal[m] = expand(SCElement({m: 1}), mono_degree(m))
             return got
 
-        zeros = [s.zero() for s in spaces]
-        tables: dict[tuple[int, int, int], list[list[Vector]]] = {}
+        tables: dict[tuple[int, int, int], list[list[tuple]]] = {}
 
-        def times(n: int, p: int, i: int, x: Vector, degree: int) -> Vector | None:
+        def times(n: int, p: int, i: int, x: tuple, degree: int) -> tuple | None:
             """(basis vector i of degree p)_n x for x of the given degree,
             from a filled table; None when the product's degree is < 0."""
-            target = p + degree - n - 1
-            if target < 0:
+            if p + degree - n - 1 < 0:
                 return None
-            return lin_comb(tables[(n, p, degree)][i], x, zeros[target])
+            return comb_items(tables[(n, p, degree)][i], x)
 
-        def derive(n: int, p: int, i: int, qd: int, j: int) -> list[Vector]:
-            """The terms whose sum is (basis vector i of degree p)_n (basis
-            vector j of degree qd), by hs, dcomm or hd."""
+        def add_mult(acc: dict, rows: list[list[tuple]], x: tuple, y: tuple) -> None:
+            """acc += x.y for the commutative product table ``rows``."""
+            for a, c in x:
+                row = rows[a]
+                for b, e in y:
+                    add_scaled(acc, row[b], c * e)
+
+        def derive(n: int, p: int, i: int, qd: int, j: int) -> tuple:
+            """(basis vector i of degree p)_n (basis vector j of degree qd),
+            by hs, dcomm or hd."""
             target = p + qd - n - 1
+            acc: dict[int, Scalar] = {}
             if qd <= 1:  # hs: p >= 2
-                terms = []
                 for k in range(0, target + 1):
                     w = tables[(n + k, qd, p)][j][i]
-                    if w.items:
+                    if w:
                         for r in range(target - k, target):
-                            w = map_apply(d_maps[r], w)
-                        terms.append(w.scale(Fraction((-1) ** (n + k + 1), factorial(k))))
-                return terms
+                            w = comb_items(d_cols[r], w)
+                        add_scaled(acc, w, rational(Fraction((-1) ** (n + k + 1), factorial(k))))
+                return canonical(acc)
             v = monos[qd][j]
             if len(v) == 1:  # dcomm
                 _, k, b = v[0]
                 w = normal_form((("b", k - 1, b),))
                 below = times(n, p, i, w, qd - 1)
-                terms = [] if below is None else [map_apply(d_maps[target - 1], below)]
+                if below is not None:
+                    add_scaled(acc, comb_items(d_cols[target - 1], below))
                 if n:
-                    terms.append(times(n - 1, p, i, w, qd - 1).scale(n))
-                return terms
+                    add_scaled(acc, times(n - 1, p, i, w, qd - 1), n)
+                return canonical(acc)
             g, rest = v[:1], v[1:]  # hd
             dg = factor_degree(g[0])
             dr = qd - dg
             gv, rv = normal_form(g), normal_form(rest)
-            terms = []
             x = times(n, p, i, gv, dg)
             if x is not None:
-                terms.append(bilin_apply(mult[(target - dr, dr)], x, rv))
+                add_mult(acc, mult[(target - dr, dr)], x, rv)
             y = times(n, p, i, rv, dr)
             if y is not None:
-                terms.append(bilin_apply(mult[(dg, target - dg)], gv, y))
-            return terms
+                add_mult(acc, mult[(dg, target - dg)], gv, y)
+            return canonical(acc)
 
         counted = dict.fromkeys(("view_entries_sym", "view_entries_laws", "view_entries_zero"), 0)
         # the key order fills left degrees 0 and 1 before the rest
@@ -261,30 +255,37 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
             for qd in range(top + 1):
                 for n in range(max(0, p + qd - 1 - top), p + qd):
                     target = p + qd - n - 1
-                    zero = zeros[target]
                     rows = tables[(n, p, qd)] = []
                     for i, (u, tu) in enumerate(zip(elems[p], tops[p])):
                         row = []
                         for j, (v, tv) in enumerate(zip(elems[qd], tops[qd])):
                             if n >= tu + tv:
-                                row.append(zero)
+                                row.append(())
                                 counted["view_entries_zero"] += 1
                             elif p <= 1 and qd <= 1:
                                 row.append(expand(sym.product(n, u, v), target))
                                 counted["view_entries_sym"] += 1
                             else:
-                                row.append(_sum(derive(n, p, i, qd, j), zero))
+                                row.append(derive(n, p, i, qd, j))
                                 counted["view_entries_laws"] += 1
                         rows.append(row)
         q.add_counts(**counted)
-        prod = {
-            (n, p, qd): BilinearMap(spaces[p], spaces[qd], spaces[p + qd - n - 1], rows)
-            for (n, p, qd), rows in tables.items()
-        }
+
+        # zero entries share their degree's one zero Vector: a Vector per
+        # zero entry raised exact(4)'s maxrss at degree 6 by a third
+        zeros = [Vector._trusted(s, ()) for s in spaces]
+
+        def vectors(entries: list[tuple], degree: int) -> list[Vector]:
+            space, zero = spaces[degree], zeros[degree]
+            return [Vector._trusted(space, e) if e else zero for e in entries]
+
+        def bilinear(rows: list[list[tuple]], p: int, qd: int, target: int) -> BilinearMap:
+            return BilinearMap(spaces[p], spaces[qd], spaces[target], [vectors(row, target) for row in rows])
+
         return GradedVpaView(
             spaces=tuple(spaces),
-            unit=expand(sym.one(), 0),
-            d=tuple(d_maps),
-            mult=mult,
-            prod=prod,
+            unit=Vector._trusted(A, expand(sym.one(), 0)),
+            d=tuple(LinearMap(spaces[r], spaces[r + 1], vectors(c, r + 1)) for r, c in enumerate(d_cols)),
+            mult={(p, qd): bilinear(rows, p, qd, p + qd) for (p, qd), rows in mult.items()},
+            prod={(n, p, qd): bilinear(rows, p, qd, p + qd - n - 1) for (n, p, qd), rows in tables.items()},
         )

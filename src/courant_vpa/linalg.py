@@ -8,11 +8,11 @@ mathematical objects.  Scalars are exact rationals in the form
 float.  So the integer arithmetic, most of it, stays in C-level ints.
 
 The public ``Vector(space, coeffs)`` constructor coerces and range-checks
-its input.  Results of the kernel arithmetic (``bilin_apply``,
-``map_apply``, ``lin_comb``, ``+``, ``-``, ``scale``) are
-built by the private ``Vector._trusted``, which skips coercion and the
-range check: their indices come from vectors and tables that were
-validated when they were built.  A kernel result may also be one of its
+its input.  Results of the ``Vector`` arithmetic (``bilin_apply``,
+``map_apply``, ``+``, ``-``, ``scale``) are built by the private
+``Vector._trusted``, which skips coercion and the range check: their
+indices come from vectors and tables that were validated when they were
+built.  Such a result may also be one of its
 inputs or a stored vector itself: for example ``bilin_apply`` of two basis
 vectors returns ``table[i][j]``, and of a zero argument the map's own zero
 vector.  That sharing is safe because a Vector is never modified after
@@ -28,14 +28,16 @@ and each caller's canonical form drops it.
 
 A Vector's ``items`` are canonical: sorted by index, zero-free, an int
 wherever a scalar is integral, so two vectors of one space are equal
-exactly when their item tuples are.  ``comb_items`` is the one
-combination on item tuples: ``lin_comb`` runs it on the items of the
-vectors it reads (``map_apply`` after its space check, the graded view
-on its tables), and the Courant and conformal checkers and the quotient
-run it on table rows and columns read once as item tuples
-(``item_table``), the checkers with ``add_items`` and ``neg_items`` for
-their sums.  ``canonical`` puts a ``{index: scalar}`` dict into that form
-for every kernel result.
+exactly when their item tuples are.  There is one combination kernel, on
+such tuples: ``comb_items`` sums table rows by the coefficients of an
+item tuple through ``add_scaled``, with ``add_items``, ``neg_items`` and
+``scale_items`` beside it, and ``canonical`` puts a ``{index: scalar}``
+dict into canonical form for every result.  The Courant and conformal
+checkers, the quotient and the graded view run it on tables read once as
+item tuples (``item_table``).  ``bilin_apply`` and ``map_apply`` are the
+checked ``Vector`` API on a map (``map_apply`` runs ``comb_items`` after
+its space check), and ``bilin_apply`` is the reference path that
+``tca.check_leibniz_form`` evaluates every product through.
 
 ``Echelon``, the one exact row elimination (the quotient's relations,
 ``rank``, ``solve_linear``), stores each sparse row under its largest key
@@ -365,24 +367,6 @@ class LinearMap:
         return "LinearMap(%s -> %s)" % (self.domain.name, self.codomain.name)
 
 
-def lin_comb(vectors, x: Vector, zero: Vector) -> Vector:
-    """sum_k c_k * vectors[k] over the items (k, c_k) of x, in the space of
-    ``zero``, with no space check: ``zero`` for an empty x.  The sum is
-    ``comb_items`` on the items of the vectors x reads."""
-    items = x.items
-    if not items:
-        return zero
-    if len(items) == 1:
-        (k, c), = items
-        return vectors[k].scale(c)
-    return Vector._trusted(zero.space, comb_items({k: vectors[k].items for k, _ in items}, items))
-
-
-def columns(b: "BilinearMap") -> list[list[Vector]]:
-    """Column j of b's table, b(., e_j) on the left basis, for every j."""
-    return [[row[j] for row in b.table] for j in range(b.right.dim)]
-
-
 def item_table(b: "BilinearMap") -> tuple[list[list[tuple]], list[list[tuple]]]:
     """b's table as item tuples, b(e_i, e_j) at [i][j], and its columns,
     b(., e_j) at [j]."""
@@ -395,7 +379,11 @@ def map_apply(m: LinearMap, v: Vector) -> Vector:
         raise SpaceMismatch(
             "map_apply: vector in %r, domain is %r" % (v.space.name, m.domain.name)
         )
-    return lin_comb(m.columns, v, m._zero)
+    items = v.items
+    if not items:
+        return m._zero
+    cols = m.columns
+    return Vector._trusted(m.codomain, comb_items({k: cols[k].items for k, _ in items}, items))
 
 
 class BilinearMap:

@@ -322,7 +322,7 @@ class CourantQuotient:
     def _insert_shadow(self, ech: Echelon, terms) -> bool:
         """Fuse sum c.m over (m, c) pairs, an ideal element of degree >= 2,
         and insert its pure-B shadow into ``ech``."""
-        shadow = self._fused_sum(terms, "leftmost")
+        shadow = self._fused_terms(terms, "leftmost")
         if any(t[0][0] == "a" and c for t, c in shadow.items()):
             raise AssertionError("relation generator produced a degree-0 part")
         counts = self._counts
@@ -477,7 +477,7 @@ class CourantQuotient:
             raise ValueError("unknown strategy %r" % strategy)
         memo = self._memo
         if memo is None:
-            return SCElement(self._normal_terms(self._fused_sum(u.terms.items(), strategy)))
+            return SCElement(self._normal_terms(self._fused_terms(u.terms.items(), strategy)))
         normal = memo.normal[strategy]
         missing = [m for m in u.terms if m not in normal]
         if missing:
@@ -489,7 +489,7 @@ class CourantQuotient:
             add_scaled(acc, _pairs(normal[m]), c)
         return SCElement(acc)
 
-    def _fused_sum(self, terms, strategy: str) -> dict[Monomial, Scalar]:
+    def _fused_terms(self, terms, strategy: str) -> dict[Monomial, Scalar]:
         """Fused form of sum c.m over (m, c) pairs."""
         terms = list(terms)
         table = self._fuse([m for m, _ in terms], strategy)
