@@ -33,11 +33,11 @@ such tuples: ``comb_items`` sums table rows by the coefficients of an
 item tuple through ``add_scaled``, with ``add_items``, ``neg_items`` and
 ``scale_items`` beside it, and ``canonical`` puts a ``{index: scalar}``
 dict into canonical form for every result.  The Courant and conformal
-checkers, the quotient and the graded view run it on tables read once as
-item tuples (``item_table``).  ``bilin_apply`` and ``map_apply`` are the
-checked ``Vector`` API on a map (``map_apply`` runs ``comb_items`` after
-its space check), and ``bilin_apply`` is the reference path that
-``tca.check_leibniz_form`` evaluates every product through.
+checkers and the quotient run it on tables read once as item tuples
+(``item_table``), and the graded view on the item tables it fills.
+``bilin_apply`` and ``map_apply`` are the checked ``Vector`` API on a
+map (``map_apply`` runs ``comb_items`` after its space check), and
+``bilin_apply`` is ``tca.check_leibniz_form``'s reference path.
 
 ``Echelon``, the one exact row elimination (the quotient's relations,
 ``rank``, ``solve_linear``), stores each sparse row under its largest key
