@@ -23,8 +23,9 @@ so a separately built, value-equal space is still accepted.
 
 ``add_scaled`` is the one accumulation loop: acc += c * items on a dict,
 over (key, scalar) pairs whose keys are basis indices here and monomials
-in ``vlie``, ``vpa`` and ``quotient``.  It leaves a cancelled key at 0,
-and each caller's canonical form drops it.
+in ``vlie``, ``vpa`` and ``quotient``; the memos of the last two store
+tuples of such pairs, which it reads as stored.  It leaves a cancelled
+key at 0, and each caller's canonical form drops it.
 
 A Vector's ``items`` are canonical: sorted by index, zero-free, an int
 wherever a scalar is integral, so two vectors of one space are equal
@@ -324,7 +325,7 @@ class LinearMap:
                 "map needs %d columns, got %d" % (domain.dim, len(cols))
             )
         for col in cols:
-            if col.space != codomain:
+            if col.space is not codomain and col.space != codomain:
                 raise SpaceMismatch("column not in codomain %r" % codomain.name)
         self.domain = domain
         self.codomain = codomain
@@ -411,7 +412,7 @@ class BilinearMap:
             raise ValueError("structure-constant table has wrong shape")
         for row in rows:
             for v in row:
-                if v.space != codomain:
+                if v.space is not codomain and v.space != codomain:
                     raise SpaceMismatch("table entry not in codomain %r" % codomain.name)
         if (symmetric or antisymmetric) and left != right:
             raise ValueError("symmetry flags need matching left/right spaces")

@@ -48,8 +48,9 @@ The build skips four families of shadows that are zero by construction
 The inserted shadows still share monomials, and assembling a view
 reduces the same monomials for table entry after table entry.  Both
 therefore run inside ``CourantQuotient.memoized``, which keeps the
-fused form and the normal form of each (strategy, monomial) as a flat
-tuple, beside the symmetric algebra's own product memo.  The memo is
+fused form and the normal form of each (strategy, monomial) as a tuple
+of (monomial, coefficient) items, which ``linalg.add_scaled`` reads as
+stored, beside the symmetric algebra's own product memo.  The memo is
 scoped to the block and dropped when the block returns or raises; it
 never lives as long as the quotient.  A memo kept for the
 quotient's lifetime would hold the build's fused forms and products for
@@ -98,9 +99,7 @@ from .vpa import (
     Monomial,
     SCElement,
     SymAlgebra,
-    _flat,
     _nonzero,
-    _pairs,
     factor_degree,
     format_element,
     make_monomial,
@@ -150,8 +149,8 @@ class IdealGenerators:
 
 class _FusionMemo:
     """Stage-one fusion results of one ``CourantQuotient.memoized`` block:
-    per strategy, monomial -> its fused form as a flat (monomial,
-    coefficient, ...) tuple, and monomial -> its normal form likewise."""
+    per strategy, monomial -> its fused form as a tuple of (monomial,
+    coefficient) items, and monomial -> its normal form likewise."""
 
     __slots__ = ("fused", "normal")
 
@@ -185,7 +184,7 @@ class CourantQuotient:
         self.cutoff = cutoff
         self.relators = IdealGenerators(self)
         # the base tables as item tuples, read by every fusion step
-        self._unit = tuple(x for i, c in X.A.unit.items for x in ((("a", i),), c))
+        self._unit = tuple([((("a", i),), c) for i, c in X.A.unit.items])
         self._mult, self._multc = item_table(X.A.mult)
         self._act, self._actc = item_table(X.action)
         self._partial = [v.items for v in X.partial.columns]
@@ -235,8 +234,8 @@ class CourantQuotient:
     # -- stage-one fusion ---------------------------------------------------
 
     def _fuse(self, monos, strategy: str) -> dict[Monomial, tuple]:
-        """Fused forms of ``monos``: each a flat (monomial, coefficient, ...)
-        tuple over pure-B monomials and, for the degree-0 part, single
+        """Fused forms of ``monos``: each a tuple of (monomial, coefficient)
+        items over pure-B monomials and, for the degree-0 part, single
         ("a", i) factors.  Inside ``memoized`` the forms are read from and
         added to the memo; outside it nothing outlives the call."""
         memo = self._memo
@@ -259,7 +258,7 @@ class CourantQuotient:
                 )
             k = _a_count(m)
             if k == 0:
-                done[m] = (m, 1) if m else self._unit
+                done[m] = ((m, 1),) if m else self._unit
             elif k == len(m):
                 done[m] = self._fuse_a_product(m)
             else:
@@ -271,8 +270,8 @@ class CourantQuotient:
             acc: dict[Monomial, Scalar] = {}
             for child, c in plans[m]:
                 got = done.get(child)
-                add_scaled(acc, _pairs(table[child] if got is None else got), c)
-            done[m] = _flat(_nonzero(acc))
+                add_scaled(acc, table[child] if got is None else got, c)
+            done[m] = tuple(_nonzero(acc).items())
         table.update(done)
         return table
 
@@ -281,7 +280,7 @@ class CourantQuotient:
         vec = ((m[0][1], 1),)
         for f in m[1:]:
             vec = comb_items(self._multc[f[1]], vec)
-        return tuple(x for i, c in vec for x in ((("a", i),), c))
+        return tuple([((("a", i),), c) for i, c in vec])
 
     def _fusion_step(self, m: Monomial, k: int, left: bool) -> list:
         """One rewrite a . D^n(b) of the first (or last) A-factor into the
@@ -425,9 +424,9 @@ class CourantQuotient:
     def _identity_unit(self) -> int | None:
         """u when the unit is the basis vector e_u and its rows are those of
         an identity: e_u.b = b, p(e_u) = 0, e_u a = a e_u = a."""
-        if len(self._unit) != 2 or self._unit[1] != 1:
+        if len(self._unit) != 1 or self._unit[0][1] != 1:
             return None
-        u = self._unit[0][0][1]
+        u = self._unit[0][0][0][1]
         rows = self._mult[u], self._multc[u], self._act[u]
         if self._partial[u] or any(r != ((i, 1),) for got in rows for i, r in enumerate(got)):
             return None
@@ -483,10 +482,10 @@ class CourantQuotient:
         if missing:
             table = self._fuse(missing, strategy)
             for m in missing:
-                normal[m] = _flat(self._normal_terms(dict(_pairs(table[m]))))
+                normal[m] = tuple(self._normal_terms(dict(table[m])).items())
         acc: dict[Monomial, Scalar] = {}
         for m, c in u.terms.items():
-            add_scaled(acc, _pairs(normal[m]), c)
+            add_scaled(acc, normal[m], c)
         return SCElement(acc)
 
     def _fused_terms(self, terms, strategy: str) -> dict[Monomial, Scalar]:
@@ -495,7 +494,7 @@ class CourantQuotient:
         table = self._fuse([m for m, _ in terms], strategy)
         acc: dict[Monomial, Scalar] = {}
         for m, c in terms:
-            add_scaled(acc, _pairs(table[m]), c)
+            add_scaled(acc, table[m], c)
         return acc
 
     def _normal_terms(self, fused: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
@@ -519,12 +518,6 @@ class CourantQuotient:
         """The identity: a normal form is already an element of the
         symmetric algebra."""
         return u
-
-    def embed_a(self, v: Vector) -> SCElement:
-        return self.vlie.from_a(v)
-
-    def embed_b(self, v: Vector) -> SCElement:
-        return self.vlie.from_b(v)
 
     def multiply(self, u: SCElement, v: SCElement) -> SCElement:
         return self.reduce(self.sym.multiply(u, v))

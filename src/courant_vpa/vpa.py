@@ -31,10 +31,11 @@ Products are bilinear, so ``product`` expands over pairs of monomials and
 sums the monomial-pair results into one accumulator.  A check evaluates
 the same (n, monomial, monomial) pairs many times over, so ``check_vpa``
 memoizes the pair results, keyed by route as well so that the two routes
-stay independent computations, and D of each monomial.  The memo lives
-only inside a ``SymAlgebra.memoized`` block and is dropped when the block
-returns or raises.  ``check_vpa`` runs in one such block, and so do the
-quotient's relation build and view assembly, through
+stay independent computations, and D of each monomial, each as a tuple of
+(monomial, coefficient) items that ``add_scaled`` reads as stored.  The
+memo lives only inside a ``SymAlgebra.memoized`` block and is dropped
+when the block returns or raises.  ``check_vpa`` runs in one such block,
+and so do the quotient's relation build and view assembly, through
 ``CourantQuotient.memoized``.  A memo kept for the algebra's lifetime
 would hold every product ever asked of it: the quotient's algebra serves
 tens of thousands of products that never repeat, most of them zero.
@@ -76,16 +77,6 @@ def make_monomial(factors) -> Monomial:
     return tuple(sorted(factors))
 
 
-def _pairs(flat: tuple):
-    """(monomial, coefficient) pairs of a flat terms tuple."""
-    it = iter(flat)
-    return zip(it, it)
-
-
-def _flat(terms: dict[Monomial, Scalar]) -> tuple:
-    return tuple(x for term in terms.items() for x in term)
-
-
 def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
     # canonical like SCElement's, so memoized terms stay on the int path
     return {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
@@ -93,29 +84,22 @@ def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
 
 class _Memo:
     """Monomial-level products and derivatives, kept compact: each value
-    is a flat (monomial, coefficient, ...) tuple over interned monomials
-    and coefficients, and pair rows are keyed (route, n, mu) -> mv."""
+    is a tuple of (monomial, coefficient) items, each item interned once
+    per memo, and pair rows are keyed (route, n, mu) -> mv."""
 
-    __slots__ = ("rows", "d", "monos", "coefs")
+    __slots__ = ("rows", "d", "items")
 
     def __init__(self):
         self.rows: dict[tuple[str, int, Monomial], dict[Monomial, tuple]] = {}
         self.d: dict[Monomial, tuple] = {}
-        self.monos: dict[Monomial, Monomial] = {}
-        self.coefs: dict[Scalar, Scalar] = {}
+        self.items: dict[tuple[Monomial, Scalar], tuple[Monomial, Scalar]] = {}
 
     def __len__(self) -> int:
         return len(self.d) + sum(len(row) for row in self.rows.values())
 
     def freeze(self, terms: dict[Monomial, Scalar]) -> tuple:
-        if not terms:
-            return ()
-        monos, coefs = self.monos, self.coefs
-        flat = []
-        for m, c in terms.items():
-            flat.append(monos.setdefault(m, m))
-            flat.append(coefs.setdefault(c, c))
-        return tuple(flat)
+        items = self.items
+        return tuple([items.setdefault(t, t) for t in terms.items()])
 
 
 class SymAlgebra:
@@ -200,7 +184,7 @@ class SymAlgebra:
     combine = staticmethod(combine)
 
     def _d_monomial(self, m: Monomial) -> tuple:
-        """D of one monomial by Leibniz over its factors, as flat terms."""
+        """D of one monomial by Leibniz over its factors, as items."""
         memo = self._memo
         if memo is not None:
             got = memo.d.get(m)
@@ -211,14 +195,14 @@ class SymAlgebra:
             df = self.vlie.d(SCElement({(f,): 1})).terms
             self._add_times(acc, df.items(), m[:k] + m[k + 1 :])
         if memo is None:
-            return _flat(acc)
+            return tuple(acc.items())
         got = memo.d[m] = memo.freeze(acc)
         return got
 
     def _d_terms(self, terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
         acc: dict[Monomial, Scalar] = {}
         for m, c in terms.items():
-            add_scaled(acc, _pairs(self._d_monomial(m)), c)
+            add_scaled(acc, self._d_monomial(m), c)
         return _nonzero(acc)
 
     def d(self, u: SCElement) -> SCElement:
@@ -240,10 +224,10 @@ class SymAlgebra:
             self._memo = outer
 
     def _pair(self, route: str, n: int, mu: Monomial, mv: Monomial) -> tuple:
-        """mu_n mv along one route, as flat terms."""
+        """mu_n mv along one route, as items."""
         memo = self._memo
         if memo is None:
-            return _flat(self._pair_terms(route, n, mu, mv))
+            return tuple(self._pair_terms(route, n, mu, mv).items())
         key = (route, n, mu)
         row = memo.rows.get(key)
         if row is None:
@@ -262,8 +246,8 @@ class SymAlgebra:
             return self._skew_on_generator(mu, n, mv[0])
         g, rest = mv[:1], mv[1:]
         acc: dict[Monomial, Scalar] = {}
-        self._add_times(acc, _pairs(self._pair("skew", n, mu, g)), rest)
-        self._add_times(acc, _pairs(self._pair("skew", n, mu, rest)), g)
+        self._add_times(acc, self._pair("skew", n, mu, g), rest)
+        self._add_times(acc, self._pair("skew", n, mu, rest), g)
         return _nonzero(acc)
 
     def _gen_on_monomial(self, g: Factor, n: int, m: Monomial) -> dict[Monomial, Scalar]:
@@ -282,7 +266,7 @@ class SymAlgebra:
             w = self._pair("generator", j, (g,), mu)
             if not w:
                 continue
-            terms = dict(_pairs(w))
+            terms = dict(w)
             for _ in range(j - n):
                 terms = self._d_terms(terms)
             coef = rational(Fraction((-1) ** (j + 1), factorial(j - n)))
@@ -310,7 +294,7 @@ class SymAlgebra:
             for mv, cv in v.terms.items():
                 w = self._pair(kind, n, mu, mv)
                 if w:
-                    add_scaled(acc, _pairs(w), cv if unit else cu * cv)
+                    add_scaled(acc, w, cv if unit else cu * cv)
         return SCElement(acc)
 
 

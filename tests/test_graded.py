@@ -126,8 +126,8 @@ def test_grading_skip_drops_only_zero_products(name, cutoff):
 def basis_forms(q, cutoff):
     """The normal forms of each degree's basis, degrees 0..cutoff."""
     return [
-        [q.embed_a(v) for v in q.X.A.space.basis_vectors()],
-        [q.embed_b(v) for v in q.X.B.basis_vectors()],
+        [q.vlie.from_a(v) for v in q.X.A.space.basis_vectors()],
+        [q.vlie.from_b(v) for v in q.X.B.basis_vectors()],
     ] + [[q.reduce(SCElement({m: Fraction(1)})) for m in q.basis_monomials(p)] for p in range(2, cutoff + 1)]
 
 

@@ -23,14 +23,14 @@ def test_reduce_unit_monomial_is_e():
     q = make("heisenberg")
     got = q.reduce(q.sym.one())
     assert q.to_a_vector(got) == q.X.A.unit
-    assert got == q.embed_a(q.X.A.unit)
+    assert got == q.vlie.from_a(q.X.A.unit)
 
 
 def test_reduce_drops_unit_factor():
     q = make("heisenberg")
     e_beta = q.sym.multiply(q.sym.a_gen("e"), q.sym.b_gen("beta"))
     got = q.reduce(e_beta)
-    assert got == q.embed_b(q.X.B.unit_vector("beta"))
+    assert got == q.vlie.from_b(q.X.B.unit_vector("beta"))
 
 
 def test_reduce_fuses_algebra_factors():
@@ -74,17 +74,17 @@ def test_ideal_stability(name):
 
 def test_sb_products_heisenberg_frozen():
     q = make("heisenberg")
-    beta = q.embed_b(q.X.B.unit_vector("beta"))
-    e = q.embed_a(q.X.A.unit)
+    beta = q.vlie.from_b(q.X.B.unit_vector("beta"))
+    e = q.vlie.from_a(q.X.A.unit)
     assert q.product(1, beta, beta) == e
     dbeta = q.d(beta)
-    assert q.product(2, dbeta, beta) == q.embed_a(q.X.A.unit.scale(-2))
+    assert q.product(2, dbeta, beta) == q.vlie.from_a(q.X.A.unit.scale(-2))
 
 
 def test_sb_d_on_base_is_partial():
     q = make("exact(2)")
-    x = q.embed_a(q.X.A.space.unit_vector("x"))
-    assert q.d(x) == q.embed_b(q.X.B.unit_vector("dx"))
+    x = q.vlie.from_a(q.X.A.space.unit_vector("x"))
+    assert q.d(x) == q.vlie.from_b(q.X.B.unit_vector("dx"))
 
 
 def test_basis_monomials_counts():
@@ -178,8 +178,8 @@ def test_sb_ops_are_lift_independent():
     # computing through a different congruent representative of the same
     # class gives the same normal form (the ideal property)
     q = make("exact(2)", 4)
-    beta = q.embed_b(q.X.B.unit_vector("dx"))
-    std = q.embed_a(q.X.A.unit)
+    beta = q.vlie.from_b(q.X.B.unit_vector("dx"))
+    std = q.vlie.from_a(q.X.A.unit)
     alt = SCElement({(): Fraction(1)})  # the empty monomial also presents e
     assert q.reduce(std) == q.reduce(alt)
     for n in (0, 1):

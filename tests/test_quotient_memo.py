@@ -317,7 +317,7 @@ def test_strategies_have_separate_memo_entries():
         # and 3 xD.dx.dx, which therefore lies in the ideal
         xd, dx = ("b", 0, q.X.B.index("xD")), ("b", 0, q.X.B.index("dx"))
         assert q._memo.fused["leftmost"][m] == ()
-        assert q._memo.fused["rightmost"][m] == (make_monomial([xd, dx, dx]), Fraction(3))
+        assert q._memo.fused["rightmost"][m] == ((make_monomial([xd, dx, dx]), 3),)
         assert q._memo.normal["leftmost"][m] == q._memo.normal["rightmost"][m]
 
 

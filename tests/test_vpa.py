@@ -238,6 +238,29 @@ def test_check_vpa_drops_its_memo(monkeypatch):
     assert sym._memo is None
 
 
+def test_memo_values_are_interned_item_tuples():
+    # every memo value is a tuple of (monomial, coefficient) items, and an
+    # item that several values share is stored once
+    sym = make("heisenberg")
+    beta, dbeta = sym.b_gen("beta"), sym.b_gen("beta", 1)
+    bb, bdb = sym.multiply(beta, beta), sym.multiply(beta, dbeta)
+    with sym.memoized():
+        for n in range(3):
+            for u, v in ((beta, bb), (dbeta, bb), (beta, bdb)):
+                sym.product(n, u, v)
+        sym.d(bb), sym.d(bdb)
+        memo = sym._memo
+        values = list(memo.d.values()) + [v for row in memo.rows.values() for v in row.values()]
+    seen = {}
+    for value in values:
+        assert type(value) is tuple
+        for item in value:
+            assert type(item) is tuple and len(item) == 2
+            assert seen.setdefault(item, item) is item
+    # no value repeats an item, so the surplus is items shared by values
+    assert sum(len(v) for v in values) > len(seen)
+
+
 # -- zero arguments ----------------------------------------------------------
 
 
