@@ -174,8 +174,8 @@ def cmd_examples(args) -> int:
         return 0
     try:
         X = example(args.name)
-    except KeyError as err:
-        raise _Failure(2, str(err))
+    except KeyError as err:  # str(KeyError) would quote the message
+        raise _Failure(2, err.args[0])
     text = print_file(courant_to_file(X, meta={"example": args.name}))
     _write_out(text, args.out)
     return 0

@@ -480,15 +480,21 @@ def view_to_file(V: GradedVpaView, meta: dict | None = None) -> StructureFile:
         space = spaces[deg]
         return v if v.space == space else Vector(space, dict(v.items))
 
+    def remap_map(m: LinearMap, r: int) -> LinearMap:
+        if m.domain is spaces[r] and m.codomain is spaces[r + 1]:
+            return m
+        return LinearMap(spaces[r], spaces[r + 1], [remap_vec(c, r + 1) for c in m.columns])
+
     def remap(b: BilinearMap, p: int, q: int, target: int) -> BilinearMap:
+        if b.left is spaces[p] and b.right is spaces[q] and b.codomain is spaces[target]:
+            return b
         return BilinearMap(spaces[p], spaces[q], spaces[target],
                            [[remap_vec(v, target) for v in row] for row in b.table])
 
     return _to_file("graded-vpa", {
         "space": {(deg,): space for deg, space in enumerate(spaces)},
         "unit": remap_vec(V.unit, 0),
-        "d": {(r,): LinearMap(spaces[r], spaces[r + 1], [remap_vec(c, r + 1) for c in m.columns])
-              for r, m in enumerate(V.d)},
+        "d": {(r,): remap_map(m, r) for r, m in enumerate(V.d)},
         "mult": {(p, q): remap(V.mult[(p, q)], p, q, p + q) for (p, q) in sorted(V.mult)},
         "prod": {(n, p, q): remap(V.prod[(n, p, q)], p, q, p + q - n - 1) for (n, p, q) in sorted(V.prod)},
     }, meta)

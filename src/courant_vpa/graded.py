@@ -53,45 +53,45 @@ class GradedVpaView:
     def cutoff(self) -> int:
         return len(self.spaces) - 1
 
-
-def validate_view(V: GradedVpaView) -> None:
-    """Structural grading invariants; raises StructureError naming the
-    offending map.  Laws are not checked here: the unit, commutativity
-    and associativity of degree 0 are ``check_courant``'s A.unit, A.comm
-    and A.assoc on the extracted algebroid."""
-    cutoff = V.cutoff
-    if cutoff < 1:
-        raise StructureError("view needs degrees 0 and 1 at least")
-    if V.unit.space != V.spaces[0]:
-        raise StructureError("unit: not a degree-0 vector")
-    if len(V.d) != cutoff:
-        raise StructureError("d: expected %d maps, got %d" % (cutoff, len(V.d)))
-    for r, m in enumerate(V.d):
-        if m.domain != V.spaces[r] or m.codomain != V.spaces[r + 1]:
-            raise StructureError("d[%d]: must map degree %d to degree %d" % (r, r, r + 1))
-    for (p, q), m in V.mult.items():
-        if p + q > cutoff:
-            raise StructureError("mult[%d,%d]: lands above the cutoff" % (p, q))
-        if (m.left, m.right, m.codomain) != (V.spaces[p], V.spaces[q], V.spaces[p + q]):
-            raise StructureError("mult[%d,%d]: wrong spaces" % (p, q))
-    for (n, p, q), m in V.prod.items():
-        target = p + q - n - 1
-        if not 0 <= target <= cutoff:
-            raise StructureError("prod[%d,%d,%d]: target degree %d out of range" % (n, p, q, target))
-        if (m.left, m.right, m.codomain) != (V.spaces[p], V.spaces[q], V.spaces[target]):
-            raise StructureError("prod[%d,%d,%d]: wrong spaces" % (n, p, q))
-    for key in ((0, 0), (0, 1)):
-        if key not in V.mult:
-            raise StructureError("mult[%d,%d]: required for extraction, missing" % key)
-    for key in ((0, 1, 1), (1, 1, 1), (0, 1, 0)):
-        if key not in V.prod:
-            raise StructureError("prod[%d,%d,%d]: required for extraction, missing" % key)
+    def __post_init__(self):
+        """Structural grading invariants; raises StructureError naming the
+        offending map.  Laws are not checked here: the unit, commutativity
+        and associativity of degree 0 are ``check_courant``'s A.unit, A.comm
+        and A.assoc on the extracted algebroid."""
+        cutoff = self.cutoff
+        if cutoff < 1:
+            raise StructureError("view needs degrees 0 and 1 at least")
+        if self.unit.space != self.spaces[0]:
+            raise StructureError("unit: not a degree-0 vector")
+        if len(self.d) != cutoff:
+            raise StructureError("d: expected %d maps, got %d" % (cutoff, len(self.d)))
+        for r, m in enumerate(self.d):
+            if m.domain != self.spaces[r] or m.codomain != self.spaces[r + 1]:
+                raise StructureError("d[%d]: must map degree %d to degree %d" % (r, r, r + 1))
+        for (p, q), m in self.mult.items():
+            if p + q > cutoff:
+                raise StructureError("mult[%d,%d]: lands above the cutoff" % (p, q))
+            if (m.left, m.right, m.codomain) != (self.spaces[p], self.spaces[q], self.spaces[p + q]):
+                raise StructureError("mult[%d,%d]: wrong spaces" % (p, q))
+        for (n, p, q), m in self.prod.items():
+            target = p + q - n - 1
+            if max(p, q) > cutoff:
+                raise StructureError("prod[%d,%d,%d]: degree above the cutoff" % (n, p, q))
+            if not 0 <= target <= cutoff:
+                raise StructureError("prod[%d,%d,%d]: target degree %d out of range" % (n, p, q, target))
+            if (m.left, m.right, m.codomain) != (self.spaces[p], self.spaces[q], self.spaces[target]):
+                raise StructureError("prod[%d,%d,%d]: wrong spaces" % (n, p, q))
+        for key in ((0, 0), (0, 1)):
+            if key not in self.mult:
+                raise StructureError("mult[%d,%d]: required for extraction, missing" % key)
+        for key in ((0, 1, 1), (1, 1, 1), (0, 1, 0)):
+            if key not in self.prod:
+                raise StructureError("prod[%d,%d,%d]: required for extraction, missing" % key)
 
 
 def extract_courant(V: GradedVpaView) -> CourantAlgebroid:
-    """Read off the degree-0/1 Courant data.  Validates the grading shape
-    first; does not run the axiom checker."""
-    validate_view(V)
+    """Read off the degree-0/1 Courant data, whose shapes the view checked
+    when it was built; does not run the axiom checker."""
     alg = UnitalCommAlgebra(V.spaces[0], V.mult[(0, 0)], V.unit)
     return CourantAlgebroid(
         A=alg,
@@ -117,7 +117,8 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
     canonical monomial bases of the quotient, and the unit is the normal
     form of 1.  ``d``, ``mult`` and the product entries u_n v with both
     degrees <= 1 are computed in the symmetric algebra on the basis normal
-    forms and reduced inside one ``q.memoized()`` block.
+    forms and reduced.  No fusion memo is opened: the monomials reduced
+    here are mostly pure B, whose fusion is one step.
 
     Every other product entry is derived from tables already filled, by
     table operations only.  The quotient is a vertex Poisson algebra, and
@@ -159,133 +160,132 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
     counts the three kinds.
     """
     top = q.cutoff if cutoff is None else min(cutoff, q.cutoff)
-    with q.memoized():
-        A = q.X.A.space
-        sym = q.sym
-        spaces = [A, q.X.B]
-        # each degree's basis monomials: the single factors ("a", i) and
-        # ("b", 0, i), then the quotient's basis monomials, each leading no
-        # relation, so every basis monomial is its own normal form
-        monos = [[(("a", i),) for i in range(A.dim)], q.basis_monomials(1)]
-        for n in range(2, top + 1):
-            monos.append(q.basis_monomials(n))
-            spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in monos[n]]))
-        elems = [[SCElement({m: 1}) for m in ms] for ms in monos]
-        tops = [[_top(u) for u in es] for es in elems]
-        indices = [{m: i for i, m in enumerate(ms)} for ms in monos]
+    A = q.X.A.space
+    sym = q.sym
+    spaces = [A, q.X.B]
+    # each degree's basis monomials: the single factors ("a", i) and
+    # ("b", 0, i), then the quotient's basis monomials, each leading no
+    # relation, so every basis monomial is its own normal form
+    monos = [[(("a", i),) for i in range(A.dim)], q.basis_monomials(1)]
+    for n in range(2, top + 1):
+        monos.append(q.basis_monomials(n))
+        spaces.append(BasedSpace("S%d" % n, [format_monomial(sym, m) for m in monos[n]]))
+    elems = [[SCElement({m: 1}) for m in ms] for ms in monos]
+    tops = [[_top(u) for u in es] for es in elems]
+    indices = [{m: i for i, m in enumerate(ms)} for ms in monos]
 
-        def expand(w, degree: int) -> tuple:
-            index = indices[degree]
-            try:
-                return canonical({index[m]: c for m, c in q.reduce(w).terms.items()})
-            except KeyError:
-                raise StructureError("non-canonical monomial in expansion") from None
+    def expand(w, degree: int) -> tuple:
+        index = indices[degree]
+        try:
+            return canonical({index[m]: c for m, c in q.reduce(w).terms.items()})
+        except KeyError:
+            raise StructureError("non-canonical monomial in expansion") from None
 
-        d_cols = [[expand(sym.d(u), r + 1) for u in elems[r]] for r in range(top)]
-        mult = {
-            (p, qd): [[expand(sym.multiply(u, v), p + qd) for v in elems[qd]] for u in elems[p]]
-            for p in range(top + 1)
-            for qd in range(top + 1 - p)
-        }
+    d_cols = [[expand(sym.d(u), r + 1) for u in elems[r]] for r in range(top)]
+    mult = {
+        (p, qd): [[expand(sym.multiply(u, v), p + qd) for v in elems[qd]] for u in elems[p]]
+        for p in range(top + 1)
+        for qd in range(top + 1 - p)
+    }
 
-        # normal forms of the factors hd and dcomm split a basis monomial
-        # into, as items of their degrees
-        normal = {m: ((i, 1),) for index in indices for m, i in index.items()}
+    # normal forms of the factors hd and dcomm split a basis monomial
+    # into, as items of their degrees
+    normal = {m: ((i, 1),) for index in indices for m, i in index.items()}
 
-        def normal_form(m: Monomial) -> tuple:
-            got = normal.get(m)
-            if got is None:
-                got = normal[m] = expand(SCElement({m: 1}), mono_degree(m))
-            return got
+    def normal_form(m: Monomial) -> tuple:
+        got = normal.get(m)
+        if got is None:
+            got = normal[m] = expand(SCElement({m: 1}), mono_degree(m))
+        return got
 
-        tables: dict[tuple[int, int, int], list[list[tuple]]] = {}
+    tables: dict[tuple[int, int, int], list[list[tuple]]] = {}
 
-        def times(n: int, p: int, i: int, x: tuple, degree: int) -> tuple | None:
-            """(basis vector i of degree p)_n x for x of the given degree,
-            from a filled table; None when the product's degree is < 0."""
-            if p + degree - n - 1 < 0:
-                return None
-            return comb_items(tables[(n, p, degree)][i], x)
+    def times(n: int, p: int, i: int, x: tuple, degree: int) -> tuple | None:
+        """(basis vector i of degree p)_n x for x of the given degree,
+        from a filled table; None when the product's degree is < 0."""
+        if p + degree - n - 1 < 0:
+            return None
+        return comb_items(tables[(n, p, degree)][i], x)
 
-        def add_mult(acc: dict, rows: list[list[tuple]], x: tuple, y: tuple) -> None:
-            """acc += x.y for the commutative product table ``rows``."""
-            for a, c in x:
-                row = rows[a]
-                for b, e in y:
-                    add_scaled(acc, row[b], c * e)
+    def add_mult(acc: dict, rows: list[list[tuple]], x: tuple, y: tuple) -> None:
+        """acc += x.y for the commutative product table ``rows``."""
+        for a, c in x:
+            row = rows[a]
+            for b, e in y:
+                add_scaled(acc, row[b], c * e)
 
-        def derive(n: int, p: int, i: int, qd: int, j: int) -> tuple:
-            """(basis vector i of degree p)_n (basis vector j of degree qd),
-            by hs, dcomm or hd."""
-            target = p + qd - n - 1
-            acc: dict[int, Scalar] = {}
-            if qd <= 1:  # hs: p >= 2
-                for k in range(0, target + 1):
-                    w = tables[(n + k, qd, p)][j][i]
-                    if w:
-                        for r in range(target - k, target):
-                            w = comb_items(d_cols[r], w)
-                        add_scaled(acc, w, rational(Fraction((-1) ** (n + k + 1), factorial(k))))
-                return canonical(acc)
-            v = monos[qd][j]
-            if len(v) == 1:  # dcomm
-                _, k, b = v[0]
-                w = normal_form((("b", k - 1, b),))
-                below = times(n, p, i, w, qd - 1)
-                if below is not None:
-                    add_scaled(acc, comb_items(d_cols[target - 1], below))
-                if n:
-                    add_scaled(acc, times(n - 1, p, i, w, qd - 1), n)
-                return canonical(acc)
-            g, rest = v[:1], v[1:]  # hd
-            dg = factor_degree(g[0])
-            dr = qd - dg
-            gv, rv = normal_form(g), normal_form(rest)
-            x = times(n, p, i, gv, dg)
-            if x is not None:
-                add_mult(acc, mult[(target - dr, dr)], x, rv)
-            y = times(n, p, i, rv, dr)
-            if y is not None:
-                add_mult(acc, mult[(dg, target - dg)], gv, y)
+    def derive(n: int, p: int, i: int, qd: int, j: int) -> tuple:
+        """(basis vector i of degree p)_n (basis vector j of degree qd),
+        by hs, dcomm or hd."""
+        target = p + qd - n - 1
+        acc: dict[int, Scalar] = {}
+        if qd <= 1:  # hs: p >= 2
+            for k in range(0, target + 1):
+                w = tables[(n + k, qd, p)][j][i]
+                if w:
+                    for r in range(target - k, target):
+                        w = comb_items(d_cols[r], w)
+                    add_scaled(acc, w, rational(Fraction((-1) ** (n + k + 1), factorial(k))))
             return canonical(acc)
+        v = monos[qd][j]
+        if len(v) == 1:  # dcomm
+            _, k, b = v[0]
+            w = normal_form((("b", k - 1, b),))
+            below = times(n, p, i, w, qd - 1)
+            if below is not None:
+                add_scaled(acc, comb_items(d_cols[target - 1], below))
+            if n:
+                add_scaled(acc, times(n - 1, p, i, w, qd - 1), n)
+            return canonical(acc)
+        g, rest = v[:1], v[1:]  # hd
+        dg = factor_degree(g[0])
+        dr = qd - dg
+        gv, rv = normal_form(g), normal_form(rest)
+        x = times(n, p, i, gv, dg)
+        if x is not None:
+            add_mult(acc, mult[(target - dr, dr)], x, rv)
+        y = times(n, p, i, rv, dr)
+        if y is not None:
+            add_mult(acc, mult[(dg, target - dg)], gv, y)
+        return canonical(acc)
 
-        counted = dict.fromkeys(("view_entries_sym", "view_entries_laws", "view_entries_zero"), 0)
-        # the key order fills left degrees 0 and 1 before the rest
-        for p in range(top + 1):
-            for qd in range(top + 1):
-                for n in range(max(0, p + qd - 1 - top), p + qd):
-                    target = p + qd - n - 1
-                    rows = tables[(n, p, qd)] = []
-                    for i, (u, tu) in enumerate(zip(elems[p], tops[p])):
-                        row = []
-                        for j, (v, tv) in enumerate(zip(elems[qd], tops[qd])):
-                            if n >= tu + tv:
-                                row.append(())
-                                counted["view_entries_zero"] += 1
-                            elif p <= 1 and qd <= 1:
-                                row.append(expand(sym.product(n, u, v), target))
-                                counted["view_entries_sym"] += 1
-                            else:
-                                row.append(derive(n, p, i, qd, j))
-                                counted["view_entries_laws"] += 1
-                        rows.append(row)
-        q.add_counts(**counted)
+    counted = dict.fromkeys(("view_entries_sym", "view_entries_laws", "view_entries_zero"), 0)
+    # the key order fills left degrees 0 and 1 before the rest
+    for p in range(top + 1):
+        for qd in range(top + 1):
+            for n in range(max(0, p + qd - 1 - top), p + qd):
+                target = p + qd - n - 1
+                rows = tables[(n, p, qd)] = []
+                for i, (u, tu) in enumerate(zip(elems[p], tops[p])):
+                    row = []
+                    for j, (v, tv) in enumerate(zip(elems[qd], tops[qd])):
+                        if n >= tu + tv:
+                            row.append(())
+                            counted["view_entries_zero"] += 1
+                        elif p <= 1 and qd <= 1:
+                            row.append(expand(sym.product(n, u, v), target))
+                            counted["view_entries_sym"] += 1
+                        else:
+                            row.append(derive(n, p, i, qd, j))
+                            counted["view_entries_laws"] += 1
+                    rows.append(row)
+    q.add_counts(**counted)
 
-        # zero entries share their degree's one zero Vector: a Vector per
-        # zero entry raised exact(4)'s maxrss at degree 6 by a third
-        zeros = [Vector._trusted(s, ()) for s in spaces]
+    # zero entries share their degree's one zero Vector: a Vector per
+    # zero entry raised exact(4)'s maxrss at degree 6 by a third
+    zeros = [Vector._trusted(s, ()) for s in spaces]
 
-        def vectors(entries: list[tuple], degree: int) -> list[Vector]:
-            space, zero = spaces[degree], zeros[degree]
-            return [Vector._trusted(space, e) if e else zero for e in entries]
+    def vectors(entries: list[tuple], degree: int) -> list[Vector]:
+        space, zero = spaces[degree], zeros[degree]
+        return [Vector._trusted(space, e) if e else zero for e in entries]
 
-        def bilinear(rows: list[list[tuple]], p: int, qd: int, target: int) -> BilinearMap:
-            return BilinearMap(spaces[p], spaces[qd], spaces[target], [vectors(row, target) for row in rows])
+    def bilinear(rows: list[list[tuple]], p: int, qd: int, target: int) -> BilinearMap:
+        return BilinearMap(spaces[p], spaces[qd], spaces[target], [vectors(row, target) for row in rows])
 
-        return GradedVpaView(
-            spaces=tuple(spaces),
-            unit=Vector._trusted(A, expand(sym.one(), 0)),
-            d=tuple(LinearMap(spaces[r], spaces[r + 1], vectors(c, r + 1)) for r, c in enumerate(d_cols)),
-            mult={(p, qd): bilinear(rows, p, qd, p + qd) for (p, qd), rows in mult.items()},
-            prod={(n, p, qd): bilinear(rows, p, qd, p + qd - n - 1) for (n, p, qd), rows in tables.items()},
-        )
+    return GradedVpaView(
+        spaces=tuple(spaces),
+        unit=Vector._trusted(A, expand(sym.one(), 0)),
+        d=tuple(LinearMap(spaces[r], spaces[r + 1], vectors(c, r + 1)) for r, c in enumerate(d_cols)),
+        mult={(p, qd): bilinear(rows, p, qd, p + qd) for (p, qd), rows in mult.items()},
+        prod={(n, p, qd): bilinear(rows, p, qd, p + qd - n - 1) for (n, p, qd), rows in tables.items()},
+    )

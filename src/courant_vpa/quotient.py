@@ -45,19 +45,18 @@ per degree is, and that is finite.
 The build skips four families of shadows that are zero by construction
 (``_build_relations``): exact(4) at cutoff 5 inserts 16,396 of its
 41,350 shadows, through 7,439 distinct monomials instead of 20,370.
-The inserted shadows still share monomials, and assembling a view
-reduces the same monomials for table entry after table entry.  Both
-therefore run inside ``CourantQuotient.memoized``, which keeps the
-fused form and the normal form of each (strategy, monomial) as a tuple
-of (monomial, coefficient) items, which ``linalg.add_scaled`` reads as
-stored, beside the symmetric algebra's own product memo.  The memo is
-scoped to the block and dropped when the block returns or raises; it
-never lives as long as the quotient.  A memo kept for the
-quotient's lifetime would hold the build's fused forms and products for
-as long as the quotient is used, and grow with every query asked of it:
-two rounds of the quotient-build benchmark peak at 34.5 MB with one and
-at 30.1 MB with the scoped memo.  Outside the block ``reduce`` keeps no
-result between calls.  The strategy is part of the memo key, so
+The inserted shadows still share monomials, so the build runs inside
+``CourantQuotient.memoized``, which keeps the fused form of each
+(strategy, monomial) as a tuple of (monomial, coefficient) items, which
+``linalg.add_scaled`` reads as stored; ``check_reduce_properties``,
+whose corpus repeats monomials, does too.  The memo is scoped to the
+block and dropped when the block returns or raises; it never lives as
+long as the quotient.  A memo kept for the quotient's lifetime would
+hold the build's fused forms for as long as the quotient is used, and
+grow with every query asked of it: two rounds of the quotient-build
+benchmark peak at 34.5 MB with one and at 30.1 MB with the scoped memo.
+``reduce`` has one path, stage two on the fused form, and keeps no
+normal form between calls.  The strategy is part of the memo key, so
 the two fusion orders stay independent computations; a fusion that
 raises stores nothing; and the step bound counts the steps one top-level
 fusion performs, memo hits not included.
@@ -147,21 +146,6 @@ class IdealGenerators:
         return self.E0 + self.E1
 
 
-class _FusionMemo:
-    """Stage-one fusion results of one ``CourantQuotient.memoized`` block:
-    per strategy, monomial -> its fused form as a tuple of (monomial,
-    coefficient) items, and monomial -> its normal form likewise."""
-
-    __slots__ = ("fused", "normal")
-
-    def __init__(self):
-        self.fused: dict[str, dict[Monomial, tuple]] = {"leftmost": {}, "rightmost": {}}
-        self.normal: dict[str, dict[Monomial, tuple]] = {"leftmost": {}, "rightmost": {}}
-
-    def __len__(self) -> int:
-        return sum(len(t) for t in self.fused.values()) + sum(len(t) for t in self.normal.values())
-
-
 def _a_count(m: Monomial) -> int:
     """Number of A-factors; they lead a canonical monomial."""
     k = 0
@@ -188,7 +172,8 @@ class CourantQuotient:
         self._mult, self._multc = item_table(X.A.mult)
         self._act, self._actc = item_table(X.action)
         self._partial = [v.items for v in X.partial.columns]
-        self._memo: _FusionMemo | None = None
+        # inside ``memoized``: strategy -> monomial -> its fused items
+        self._memo: dict[str, dict[Monomial, tuple]] | None = None
         self._counts = dict.fromkeys(
             ("shadows_inserted", "shadows_skipped", "rows_kept", "fusion_steps", "peak_memo_entries",
              "view_entries_sym", "view_entries_laws", "view_entries_zero"),
@@ -200,20 +185,19 @@ class CourantQuotient:
 
     @contextmanager
     def memoized(self):
-        """Memoize stage-one fusion and normal forms per (strategy,
-        monomial), and the symmetric algebra's products, inside the block;
-        both memos are dropped on leaving it."""
+        """Memoize stage-one fusion per (strategy, monomial) inside the
+        block; the memo is dropped on leaving it."""
         outer = self._memo
-        with self.sym.memoized():
+        if outer is None:
+            self._memo = {"leftmost": {}, "rightmost": {}}
+        try:
+            yield
+        finally:
             if outer is None:
-                self._memo = _FusionMemo()
-            try:
-                yield
-            finally:
-                if outer is None:
-                    counts = self._counts
-                    counts["peak_memo_entries"] = max(counts["peak_memo_entries"], len(self._memo))
-                self._memo = outer
+                counts = self._counts
+                entries = sum(map(len, self._memo.values()))
+                counts["peak_memo_entries"] = max(counts["peak_memo_entries"], entries)
+            self._memo = outer
 
     def stats(self) -> dict:
         """What the quotient has done so far: relation dimensions of
@@ -237,9 +221,10 @@ class CourantQuotient:
         """Fused forms of ``monos``: each a tuple of (monomial, coefficient)
         items over pure-B monomials and, for the degree-0 part, single
         ("a", i) factors.  Inside ``memoized`` the forms are read from and
-        added to the memo; outside it nothing outlives the call."""
+        added to the block's memo under ``strategy``; outside it nothing
+        outlives the call."""
         memo = self._memo
-        table = memo.fused[strategy] if memo is not None else {}
+        table = memo[strategy] if memo is not None else {}
         left = strategy == "leftmost"
         plans: dict[Monomial, list] = {}
         done: dict[Monomial, tuple] = {}
@@ -468,25 +453,13 @@ class CourantQuotient:
 
         ``strategy`` picks which A-factor fuses into which D-power factor
         first; stage two makes any admissible order land on the same
-        normal form, and the confluence check runs both extremes.  Inside
-        ``memoized`` the normal form of each monomial is kept and ``u``'s
-        is their combination, which is the same by linearity.
+        normal form, and the confluence check runs both extremes.  Stage
+        one reads and fills the fusion memo inside ``memoized``; a normal
+        form is never kept.
         """
         if strategy not in ("leftmost", "rightmost"):
             raise ValueError("unknown strategy %r" % strategy)
-        memo = self._memo
-        if memo is None:
-            return SCElement(self._normal_terms(self._fused_terms(u.terms.items(), strategy)))
-        normal = memo.normal[strategy]
-        missing = [m for m in u.terms if m not in normal]
-        if missing:
-            table = self._fuse(missing, strategy)
-            for m in missing:
-                normal[m] = tuple(self._normal_terms(dict(table[m])).items())
-        acc: dict[Monomial, Scalar] = {}
-        for m, c in u.terms.items():
-            add_scaled(acc, normal[m], c)
-        return SCElement(acc)
+        return SCElement(self._normal_terms(self._fused_terms(u.terms.items(), strategy)))
 
     def _fused_terms(self, terms, strategy: str) -> dict[Monomial, Scalar]:
         """Fused form of sum c.m over (m, c) pairs."""

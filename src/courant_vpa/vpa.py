@@ -34,11 +34,10 @@ memoizes the pair results, keyed by route as well so that the two routes
 stay independent computations, and D of each monomial, each as a tuple of
 (monomial, coefficient) items that ``add_scaled`` reads as stored.  The
 memo lives only inside a ``SymAlgebra.memoized`` block and is dropped
-when the block returns or raises.  ``check_vpa`` runs in one such block,
-and so do the quotient's relation build and view assembly, through
-``CourantQuotient.memoized``.  A memo kept for the algebra's lifetime
-would hold every product ever asked of it: the quotient's algebra serves
-tens of thousands of products that never repeat, most of them zero.
+when the block returns or raises; ``check_vpa`` runs in one such block.
+The quotient opens none: its algebra serves tens of thousands of
+products that never repeat, most of them zero, which a memo would only
+hold.
 The generator products under both routes are few, one per index and
 pair of basis factors, and ``VertexLie`` keeps them for its lifetime.
 Failing evaluations (CutoffError) are never stored, so they raise again

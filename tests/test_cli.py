@@ -177,6 +177,11 @@ def test_examples_list_and_emit(tmp_path, capsys):
     assert code == 2
 
 
+def test_examples_emit_refusal_is_unquoted(capsys):
+    code, out, err = run(capsys, "examples", "emit", "exact(5)")
+    assert (code, out, err) == (2, "", "exact(m) supports 2 <= m <= 4\n")
+
+
 def test_fixture_files_are_canonical_fixpoints():
     for name in ("sl2.cvpa", "exact2.cvpa", "trivial2.cvpa", "heisenberg.cvpa", "broken.cvpa"):
         text = open(fixture_path(name)).read()

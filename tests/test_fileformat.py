@@ -155,6 +155,10 @@ MALFORMED_BINDINGS = {
     ),
     "name after the graded name": (VIEW, "d 0 d0", "d 0 d0 d0", ("d binding needs: d DEGREE mapname", 16, 10)),
     "view unit not in degree 0": (VIEW, "unit e", "unit u", ("label 'u' is not in space 'A'", 15, 8)),
+    "view table with wrong spaces": (VIEW, "mult 0 1 m_0_1", "mult 0 1 m_0_0", ("mult[0,1]: wrong spaces", 12, 1)),
+    "view table above the cutoff": (
+        VIEW, "prod 0 1 0 p_0_1_0", "prod 0 1 0 p_0_1_0\n  prod 3 4 0 p_0_1_0", ("prod[3,4,0]: degree above the cutoff", 12, 1)
+    ),
 }
 
 

@@ -252,10 +252,20 @@ def test_reduce_matches_reference_on_seeded_corpus():
 # -- the memo's scope ----------------------------------------------------------------
 
 
-def test_memo_is_dropped_after_build_and_view():
+def test_memo_is_dropped_after_build_and_view(monkeypatch):
     q = CourantQuotient(example("exact(2)"), 3)
     assert q._memo is None and q.sym._memo is None
+    # the view reduces with no memo open, of the quotient or of its algebra
+    memos = set()
+    reduce = CourantQuotient.reduce
+
+    def recording(self, u, strategy="leftmost"):
+        memos.add((self._memo is None, self.sym._memo is None))
+        return reduce(self, u, strategy)
+
+    monkeypatch.setattr(CourantQuotient, "reduce", recording)
     assemble_view(q)
+    assert memos == {(True, True)}
     assert q._memo is None and q.sym._memo is None
 
 
@@ -292,7 +302,7 @@ def test_failing_fusion_leaves_no_memo_entry(monkeypatch):
         for s in ("leftmost", "rightmost"):
             with pytest.raises(ReduceBoundError):
                 q.reduce(u, s)
-        assert len(q._memo) == 0
+        assert sum(map(len, q._memo.values())) == 0
         monkeypatch.undo()
         for s in ("leftmost", "rightmost"):
             assert q.reduce(u, s) == want[s]
@@ -311,14 +321,14 @@ def test_strategies_have_separate_memo_entries():
     (m,) = u.terms
     with q.memoized():
         q.reduce(u, "leftmost")
-        assert m in q._memo.fused["leftmost"] and m not in q._memo.fused["rightmost"]
+        assert m in q._memo["leftmost"] and m not in q._memo["rightmost"]
         q.reduce(u, "rightmost")
         # the two orders fuse x.x.D2[xD] to different representatives: 0
         # and 3 xD.dx.dx, which therefore lies in the ideal
         xd, dx = ("b", 0, q.X.B.index("xD")), ("b", 0, q.X.B.index("dx"))
-        assert q._memo.fused["leftmost"][m] == ()
-        assert q._memo.fused["rightmost"][m] == ((make_monomial([xd, dx, dx]), 3),)
-        assert q._memo.normal["leftmost"][m] == q._memo.normal["rightmost"][m]
+        assert q._memo["leftmost"][m] == ()
+        assert q._memo["rightmost"][m] == ((make_monomial([xd, dx, dx]), 3),)
+        assert q.reduce(u, "leftmost") == q.reduce(u, "rightmost")
 
 
 # -- stats ---------------------------------------------------------------------------
