@@ -12,7 +12,8 @@ from courant_vpa.fileformat import (
     tca_to_file,
     view_to_file,
 )
-from courant_vpa.graded import assemble_view, extract_courant
+from courant_vpa.graded import GradedVpaView, assemble_view, extract_courant
+from courant_vpa.linalg import BasedSpace, BilinearMap, LinearMap, Vector
 from courant_vpa.quotient import CourantQuotient
 
 MINIMAL = """
@@ -281,6 +282,30 @@ def test_graded_view_file_roundtrip():
     assert check_courant(X).passed
     assert X.pairing == example("heisenberg").pairing
     assert print_file(parse(text)) == text
+
+
+def test_view_file_renames_a_repeated_space_name():
+    # degree 2 named like degree 1: the file renames it, rebuilds the
+    # tables on it and reuses every other table as it is
+    V = assemble_view(CourantQuotient(example("exact(2)"), 3))
+    old = V.spaces[2]
+    new = BasedSpace(V.spaces[1].name, old.basis)
+    swap = lambda s: new if s is old else s
+    vec = lambda v: Vector(new, dict(v.items)) if v.space is old else v
+    bilinear = lambda b: BilinearMap(
+        swap(b.left), swap(b.right), swap(b.codomain), [[vec(v) for v in row] for row in b.table]
+    )
+    W = GradedVpaView(
+        spaces=tuple(map(swap, V.spaces)), unit=V.unit,
+        d=tuple(LinearMap(swap(m.domain), swap(m.codomain), [vec(c) for c in m.columns]) for m in V.d),
+        mult={k: bilinear(b) for k, b in V.mult.items()},
+        prod={k: bilinear(b) for k, b in V.prod.items()},
+    )
+    sf = view_to_file(W)
+    assert [s.name for s in sf.spaces.values()] == ["A", "B", "B_deg2", "S3"]
+    assert sf.products["m_0_1"] is W.mult[(0, 1)] and sf.products["m_1_1"] is not W.mult[(1, 1)]
+    assert sf.maps["d0"] is W.d[0] and sf.maps["d1"] is not W.d[1]
+    assert print_file(sf) == print_file(view_to_file(V)).replace(" S2", " B_deg2")
 
 
 def test_comments_and_blank_lines_ignored():
