@@ -1,11 +1,37 @@
+import hashlib
+
 import pytest
 
 from courant_vpa.examples import example, example_names
+from courant_vpa.fileformat import courant_to_file, print_file
+
+# sha256 of print_file(courant_to_file(example(name))), no META line: every
+# supported built-in, including trivial(4..6), which example_names() omits.
+PRINTED_SHA256 = {
+    "trivial(1)": "454f388e8b4aa51b6732278c3051a241c212041193deb0d2ef39884af0dc3265",
+    "trivial(2)": "f6af8a1f56b6f0990797e98e3af5de6030ddc01eb1c36c5f0c0b542301030c81",
+    "trivial(3)": "c2269e34f4a890e5132873079b96000b074fd267f6f08fc257b32fadc90e9222",
+    "trivial(4)": "0691b48860e8180f928bef0b2e4f7e72a86409345a7c01e0f1b127cda0a11ece",
+    "trivial(5)": "de74b8c500e2ce5e23f100c01efa93b5e309375a0d4ebde811cb8c1f397ed975",
+    "trivial(6)": "a08b533ffa58f089bf78e911a2e2e6b5cef6b3706df2d3304f4a256b0fb395b3",
+    "heisenberg": "de313bb4d95c2bcf68c5c86b0a8179072f7973ce8a639d8969cf7eb55ed777f4",
+    "quadratic_lie(sl2)": "9b9f023835f4f6e8c507b68c7dc06880d1b657df821e91656d202d860f961569",
+    "exact(2)": "24ab8abc981590f446affa8d2b9a45a9b1f830a78816a263173a9f7b2e205e06",
+    "exact(3)": "92d6ad2bd6953618cb6823891d178022cb12c94c4bdf9f685c7934ec1a2e724a",
+    "exact(4)": "ddb9eff1d2c7ea22611625331d128c9ee3ae2bd77575551ca046f898d806fb51",
+}
 
 
 def test_registry_names_all_build():
     for name in example_names():
         example(name)
+
+
+def test_printed_examples_are_pinned():
+    assert set(example_names()) <= set(PRINTED_SHA256)
+    for name, digest in PRINTED_SHA256.items():
+        text = print_file(courant_to_file(example(name)))
+        assert hashlib.sha256(text.encode()).hexdigest() == digest, name
 
 
 def test_unknown_names_rejected():
