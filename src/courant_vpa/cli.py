@@ -14,6 +14,9 @@ exact rationals.
     courant-vpa extract FILE [--out FILE]
     courant-vpa examples list | examples emit NAME [--out FILE]
     courant-vpa selftest
+
+`examples emit NAME --json` prints {command, name, output}, the file text
+under `output`, as `convert --json` does.
 """
 
 from __future__ import annotations
@@ -177,7 +180,10 @@ def cmd_examples(args) -> int:
     except KeyError as err:  # str(KeyError) would quote the message
         raise _Failure(2, err.args[0])
     text = print_file(courant_to_file(X, meta={"example": args.name}))
-    _write_out(text, args.out)
+    if args.json:
+        _emit({"command": "examples", "name": args.name, "output": text}, None, True, [])
+    else:
+        _write_out(text, args.out)
     return 0
 
 

@@ -9,10 +9,18 @@
     exact(m)             A = Q[x]/(x^m), B = Der(A) (+) Omega1(A) with the
                          Dorfman bracket, for 2 <= m <= 4.
 
-The exact(m) tables are computed here by symbolic differentiation in the
-truncated polynomial ring: derivations are p(x) d/dx with p in (x), and
-Kahler differentials are A dx modulo x^(m-1) dx.  Every constructor's
-output is certified by check_courant at build time.
+The first three are Courant algebroids over a point (Liu, Weinstein and
+Xu, arXiv:dg-ga/9508013): over A = Q.e the anchor lands in Der(Q.e) = 0,
+and partial(e) = partial(e.e) = 2 partial(e) forces partial = 0, so the
+algebroid is exactly a Lie algebra B with an invariant symmetric form.
+_over_a_point builds one from its bracket and pairing entries.
+
+exact(m) is read off one polynomial basis: A has P[i] = x^i, and B has
+S[k] = (x^(k+1) d/dx, 0) for the derivations, then (0, x^k dx) for the
+Kahler differentials.  Each table is one function of two basis indices,
+computed by symbolic differentiation in the truncated ring, and _table
+builds the map from it.  Every constructor's output is certified by
+check_courant at build time.
 """
 
 from __future__ import annotations
@@ -22,7 +30,19 @@ import re
 from .courant import CourantAlgebroid, UnitalCommAlgebra, check_courant
 from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector
 
-_NAME_RE = re.compile(r"^([a-z_]+)(?:\((\w+)\))?$")
+# a kind, then optionally a decimal size or a lower-case word in parentheses
+_NAME_RE = re.compile(r"([a-z_]+)(?:\((?:([0-9]+)|([a-z0-9]+))\))?")
+
+# sl2 in the basis E, F, H, and its Killing form K(x, y) = tr(ad x ad y)
+_SL2_BRACKET = {
+    ("E", "F"): {"H": 1},
+    ("F", "E"): {"H": -1},
+    ("H", "E"): {"E": 2},
+    ("E", "H"): {"E": -2},
+    ("H", "F"): {"F": -2},
+    ("F", "H"): {"F": 2},
+}
+_SL2_KILLING = {("E", "F"): {"e": 4}, ("F", "E"): {"e": 4}, ("H", "H"): {"e": 8}}
 
 
 def example_names() -> list[str]:
@@ -39,21 +59,19 @@ def example_names() -> list[str]:
 
 
 def example(name: str) -> CourantAlgebroid:
-    m = _NAME_RE.match(name.strip())
-    if not m:
-        raise KeyError("unknown example %r" % name)
-    kind, arg = m.group(1), m.group(2)
-    if kind == "trivial":
-        d = int(arg) if arg is not None else 2
+    m = _NAME_RE.fullmatch(name.strip())
+    kind, size, word = m.groups() if m else (None, None, None)
+    if kind == "trivial" and word is None:
+        d = int(size) if size else 2
         if not 1 <= d <= 6:
             raise KeyError("trivial(d) supports 1 <= d <= 6")
-        X = _trivial(d)
-    elif kind == "heisenberg" and arg is None:
-        X = _heisenberg()
-    elif kind == "quadratic_lie" and arg == "sl2":
-        X = _sl2()
-    elif kind == "exact":
-        mm = int(arg) if arg is not None else 2
+        X = _over_a_point(["u%d" % (i + 1) for i in range(d)], {}, {})
+    elif kind == "heisenberg" and size is None and word is None:
+        X = _over_a_point(["beta"], {}, {("beta", "beta"): {"e": 1}})
+    elif kind == "quadratic_lie" and word == "sl2":
+        X = _over_a_point(["E", "F", "H"], _SL2_BRACKET, _SL2_KILLING)
+    elif kind == "exact" and word is None:
+        mm = int(size) if size else 2
         if not 2 <= mm <= 4:
             raise KeyError("exact(m) supports 2 <= m <= 4")
         X = _exact(mm)
@@ -65,86 +83,28 @@ def example(name: str) -> CourantAlgebroid:
     return X
 
 
-def _line_algebra() -> UnitalCommAlgebra:
+def _over_a_point(labels: list[str], bracket: dict, pairing: dict) -> CourantAlgebroid:
+    """The Courant algebroid over A = Q.e on B = span(labels): e acts as
+    the identity, anchor and partial are zero, and the bracket and pairing
+    come from {(label, label): {label: coeff}} entries."""
     A = BasedSpace("A", ["e"])
+    B = BasedSpace("B", labels)
     mult = BilinearMap.from_entries(A, A, A, {("e", "e"): {"e": 1}}, symmetric=True)
-    return UnitalCommAlgebra(A, mult, A.unit_vector("e"))
-
-
-def _scalar_action(A: BasedSpace, B: BasedSpace) -> BilinearMap:
-    # e acts as the identity; the only sensible module structure over Q.e
-    return BilinearMap(
-        A, B, B, [[B.unit_vector(l) for l in B.basis]]
-    )
-
-
-def _trivial(d: int) -> CourantAlgebroid:
-    alg = _line_algebra()
-    B = BasedSpace("B", ["u%d" % (i + 1) for i in range(d)])
     return CourantAlgebroid(
-        A=alg,
+        A=UnitalCommAlgebra(A, mult, A.unit_vector("e")),
         B=B,
-        action=_scalar_action(alg.space, B),
-        bracket=BilinearMap.zero(B, B, B),
-        anchor=BilinearMap.zero(B, alg.space, alg.space),
-        pairing=BilinearMap.zero(B, B, alg.space),
-        partial=LinearMap.zero(alg.space, B),
+        action=BilinearMap(A, B, B, [B.basis_vectors()]),
+        bracket=BilinearMap.from_entries(B, B, B, bracket, antisymmetric=bool(bracket)),
+        anchor=BilinearMap.zero(B, A, A),
+        pairing=BilinearMap.from_entries(B, B, A, pairing, symmetric=bool(pairing)),
+        partial=LinearMap.zero(A, B),
     )
 
 
-def _heisenberg() -> CourantAlgebroid:
-    alg = _line_algebra()
-    B = BasedSpace("B", ["beta"])
-    pairing = BilinearMap.from_entries(
-        B, B, alg.space, {("beta", "beta"): {"e": 1}}, symmetric=True
-    )
-    return CourantAlgebroid(
-        A=alg,
-        B=B,
-        action=_scalar_action(alg.space, B),
-        bracket=BilinearMap.zero(B, B, B),
-        anchor=BilinearMap.zero(B, alg.space, alg.space),
-        pairing=pairing,
-        partial=LinearMap.zero(alg.space, B),
-    )
-
-
-def _sl2() -> CourantAlgebroid:
-    """sl2 with the Killing form: a quadratic Lie algebra viewed as a
-    Courant algebroid over Q.e (anchor and partial zero)."""
-    alg = _line_algebra()
-    B = BasedSpace("B", ["E", "F", "H"])
-    bracket = BilinearMap.from_entries(
-        B,
-        B,
-        B,
-        {
-            ("E", "F"): {"H": 1},
-            ("F", "E"): {"H": -1},
-            ("H", "E"): {"E": 2},
-            ("E", "H"): {"E": -2},
-            ("H", "F"): {"F": -2},
-            ("F", "H"): {"F": 2},
-        },
-        antisymmetric=True,
-    )
-    # Killing form K(x, y) = tr(ad x ad y): K(E,F) = 4, K(H,H) = 8.
-    pairing = BilinearMap.from_entries(
-        B,
-        B,
-        alg.space,
-        {("E", "F"): {"e": 4}, ("F", "E"): {"e": 4}, ("H", "H"): {"e": 8}},
-        symmetric=True,
-    )
-    return CourantAlgebroid(
-        A=alg,
-        B=B,
-        action=_scalar_action(alg.space, B),
-        bracket=bracket,
-        anchor=BilinearMap.zero(B, alg.space, alg.space),
-        pairing=pairing,
-        partial=LinearMap.zero(alg.space, B),
-    )
+def _table(left: BasedSpace, right: BasedSpace, codomain: BasedSpace, entry, **flags) -> BilinearMap:
+    """The bilinear map whose value on basis indices (i, j) is entry(i, j)."""
+    rows = [[entry(i, j) for j in range(right.dim)] for i in range(left.dim)]
+    return BilinearMap(left, right, codomain, rows, **flags)
 
 
 # --- exact(m): truncated polynomial helpers -------------------------------
@@ -178,107 +138,51 @@ def _exact(m: int) -> CourantAlgebroid:
     B = BasedSpace("B", der_labels + om_labels)
     nd = m - 1  # number of derivation generators; om generators follow
 
-    def poly(vecA: Vector) -> list[Scalar]:
-        out = [0] * m
-        for i, c in vecA.items:
-            out[i] = c
-        return out
+    def monomial(k: int) -> list[Scalar]:
+        return [1 if i == k else 0 for i in range(m)]
+
+    zero = [0] * m
+    P = [monomial(i) for i in range(m)]
+    S = [(monomial(k + 1), zero) for k in range(nd)] + [(zero, monomial(k)) for k in range(m - 1)]
 
     def a_vec(p: list[Scalar]) -> Vector:
-        return Vector(A, {i: c for i, c in enumerate(p) if i < m})
+        return Vector(A, {i: c for i, c in enumerate(p) if c})
 
     def b_vec(der: list[Scalar], om: list[Scalar]) -> Vector:
         """der = coefficient poly of d/dx (must lie in (x)); om = q(x) for
         q dx, truncated at x^(m-1) dx = 0."""
-        coeffs = {}
-        for k in range(1, m):
-            if der[k]:
-                coeffs[k - 1] = der[k]
-        for k in range(m - 1):
-            if om[k]:
-                coeffs[nd + k] = om[k]
+        coeffs = {k - 1: der[k] for k in range(1, m) if der[k]}
+        coeffs.update((nd + k, om[k]) for k in range(m - 1) if om[k])
         return Vector(B, coeffs)
 
-    def split(u: Vector) -> tuple[list[Scalar], list[Scalar]]:
-        der = [0] * m
-        om = [0] * m
-        for i, c in u.items:
-            if i < nd:
-                der[i + 1] = c
-            else:
-                om[i - nd] = c
-        return der, om
+    def mult(i: int, j: int) -> Vector:
+        return a_vec(_pmul(P[i], P[j], m))
 
-    zero = [0] * m
+    def action(i: int, k: int) -> Vector:
+        der, om = S[k]
+        return b_vec(_pmul(P[i], der, m), _pmul(P[i], om, m))
 
-    def build_action():
-        entries = {}
-        for la in a_labels:
-            p = poly(A.unit_vector(la))
-            for lb in B.basis:
-                der, om = split(B.unit_vector(lb))
-                entries[(la, lb)] = b_vec(_pmul(p, der, m), _pmul(p, om, m))
-        return BilinearMap(A, B, B, [[entries[(la, lb)] for lb in B.basis] for la in a_labels])
-
-    def build_bracket():
+    def bracket(k: int, l: int) -> Vector:
         # Dorfman: [X + w, Y + n] = [X, Y] + d(i_X n); the i_Y dw term
         # vanishes because 2-forms vanish in one variable.
-        rows = []
-        for lu in B.basis:
-            p, w = split(B.unit_vector(lu))
-            row = []
-            for lv in B.basis:
-                q, n = split(B.unit_vector(lv))
-                lie = [
-                    a - b
-                    for a, b in zip(_pmul(p, _pdiff(q), m), _pmul(q, _pdiff(p), m))
-                ]
-                lx = _pdiff(_pmul(p, n, m))  # d(i_X n) = (p n)' dx
-                row.append(b_vec(lie, lx))
-            rows.append(row)
-        return BilinearMap(B, B, B, rows)
+        (p, _), (q, n) = S[k], S[l]
+        lie = [a - b for a, b in zip(_pmul(p, _pdiff(q), m), _pmul(q, _pdiff(p), m))]
+        return b_vec(lie, _pdiff(_pmul(p, n, m)))  # d(i_X n) = (p n)' dx
 
-    def build_anchor():
-        rows = []
-        for lu in B.basis:
-            p, _ = split(B.unit_vector(lu))
-            row = []
-            for la in a_labels:
-                f = poly(A.unit_vector(la))
-                row.append(a_vec(_pmul(p, _pdiff(f), m)))
-            rows.append(row)
-        return BilinearMap(B, A, A, rows)
+    def anchor(k: int, i: int) -> Vector:
+        return a_vec(_pmul(S[k][0], _pdiff(P[i]), m))
 
-    def build_pairing():
-        rows = []
-        for lu in B.basis:
-            p, w = split(B.unit_vector(lu))
-            row = []
-            for lv in B.basis:
-                q, n = split(B.unit_vector(lv))
-                row.append(a_vec([a + b for a, b in zip(_pmul(p, n, m), _pmul(q, w, m))]))
-            rows.append(row)
-        return BilinearMap(B, B, A, rows, symmetric=True)
+    def pairing(k: int, l: int) -> Vector:
+        (p, w), (q, n) = S[k], S[l]
+        return a_vec([a + b for a, b in zip(_pmul(p, n, m), _pmul(q, w, m))])
 
-    def build_partial():
-        cols = []
-        for la in a_labels:
-            f = poly(A.unit_vector(la))
-            cols.append(b_vec(zero, _pdiff(f)))
-        return LinearMap(A, B, cols)
-
-    mult_rows = []
-    for la in a_labels:
-        p = poly(A.unit_vector(la))
-        mult_rows.append([a_vec(_pmul(p, poly(A.unit_vector(lb)), m)) for lb in a_labels])
-    alg = UnitalCommAlgebra(A, BilinearMap(A, A, A, mult_rows, symmetric=True), A.unit_vector("e"))
-
+    alg = UnitalCommAlgebra(A, _table(A, A, A, mult, symmetric=True), A.unit_vector("e"))
     return CourantAlgebroid(
         A=alg,
         B=B,
-        action=build_action(),
-        bracket=build_bracket(),
-        anchor=build_anchor(),
-        pairing=build_pairing(),
-        partial=build_partial(),
+        action=_table(A, B, B, action),
+        bracket=_table(B, B, B, bracket),
+        anchor=_table(B, A, A, anchor),
+        pairing=_table(B, B, A, pairing, symmetric=True),
+        partial=LinearMap(A, B, [b_vec(zero, _pdiff(p)) for p in P]),
     )

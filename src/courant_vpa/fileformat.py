@@ -56,8 +56,6 @@ from .graded import GradedVpaView
 from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, canonical, format_vector, scalar_from_str
 from .tca import OneTruncatedConformalAlgebra
 
-LABEL_RE = re.compile(r"^[A-Za-z_][A-Za-z0-9_.\[\]]*$")
-NUMBER_RE = re.compile(r"\d+(?:/\d+)?")
 # after any whitespace, a token or (group 2) a character that starts none
 TOKEN_RE = re.compile(r"\s*(?:(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)|(\S))")
 
@@ -161,6 +159,10 @@ def _tokenize(text: str, line_no: int) -> list[tuple[str, int]]:
     return out
 
 
+def _is_label(tok: str) -> bool:  # a _tokenize token; its first character tells its kind
+    return tok[0].isalpha() or tok[0] == "_"
+
+
 def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
     """coeff*label or label terms chained with + and -, one leading - allowed;
     '0' alone is zero.  Each coefficient is built once, with its sign.  A
@@ -177,7 +179,7 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
         if tok is None:
             raise ParseError("expected a term", line, col)
         i += 1
-        if NUMBER_RE.fullmatch(tok):
+        if tok[0].isdigit():
             try:
                 c = scalar_from_str(tok, negative)
             except ValueError as err:
@@ -185,10 +187,10 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
             if toks[i][0] != "*":
                 raise ParseError("a bare coefficient needs *label (or write 0)", line, col)
             label, col = toks[i + 1]
-            if label is None or not LABEL_RE.match(label):
+            if label is None or not _is_label(label):
                 raise ParseError("expected a basis label after *", line, col)
             i += 2
-        elif LABEL_RE.match(tok):
+        elif _is_label(tok):
             c, label = -1 if negative else 1, tok
         else:
             raise ParseError("unexpected token %r in expression" % tok, line, col)
@@ -306,8 +308,6 @@ def parse(text: str) -> StructureFile:
                 section = ("structure",)
             continue
         toks = _tokenize(body, line_no)
-        if not toks:
-            continue
         head, col0 = toks[0]
         words = [t for t, _ in toks]
         if head == "SPACE":
@@ -317,7 +317,7 @@ def parse(text: str) -> StructureFile:
             name = words[1]
             labels = words[2:]
             for (t, c) in toks[1:]:
-                if not LABEL_RE.match(t):
+                if not _is_label(t):
                     raise ParseError("bad label %r" % t, line_no, c)
             seen = set()
             for (t, c) in toks[2:]:

@@ -178,8 +178,18 @@ def test_examples_list_and_emit(tmp_path, capsys):
 
 
 def test_examples_emit_refusal_is_unquoted(capsys):
-    code, out, err = run(capsys, "examples", "emit", "exact(5)")
-    assert (code, out, err) == (2, "", "exact(m) supports 2 <= m <= 4\n")
+    for name, reason in [("exact(5)", "exact(m) supports 2 <= m <= 4"),
+                         ("trivial(x)", "unknown example 'trivial(x)'")]:
+        code, out, err = run(capsys, "examples", "emit", name)
+        assert (code, out, err) == (2, "", reason + "\n"), name
+
+
+def test_examples_emit_json_carries_the_plain_text(capsys):
+    code, plain, _ = run(capsys, "examples", "emit", "heisenberg")
+    assert code == 0
+    code, out, err = run(capsys, "examples", "emit", "heisenberg", "--json")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "examples", "name": "heisenberg", "output": plain}
 
 
 def test_fixture_files_are_canonical_fixpoints():

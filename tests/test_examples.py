@@ -38,6 +38,11 @@ def test_unknown_names_rejected():
     for bad in ("exact(7)", "nonsense", "quadratic_lie(su3)", "trivial(99)"):
         with pytest.raises(KeyError):
             example(bad)
+    # a size that is not ASCII decimal is an unknown name, not a ValueError
+    for bad in ("trivial(x)", "exact(٣)"):
+        with pytest.raises(KeyError) as err:
+            example(bad)
+        assert err.value.args[0] == "unknown example %r" % bad
 
 
 def test_exact2_tables_match_hand_computation():
