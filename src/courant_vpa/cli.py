@@ -15,8 +15,10 @@ exact rationals.
     courant-vpa examples list | examples emit NAME [--out FILE]
     courant-vpa selftest
 
-`examples emit NAME --json` prints {command, name, output}, the file text
-under `output`, as `convert --json` does.
+`convert`, `build` and `examples emit` write the file they make to --out,
+or else to standard output.  Under --json they print a payload instead
+that names the written file under `out`, or, without --out, carries its
+text under `output`.
 """
 
 from __future__ import annotations
@@ -65,6 +67,16 @@ def _write_out(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_text(payload: dict, text: str, args) -> None:
+    """Write ``text`` to --out or standard output; under --json print
+    ``payload`` instead, with the path (``out``) or the text (``output``)."""
+    if args.out or not args.json:
+        _write_out(text, args.out)
+    if args.json:
+        payload.update({"out": args.out} if args.out else {"output": text})
+        _emit(payload, None, True, [])
+
+
 def _emit(payload: dict, report: CheckReport | None, as_json: bool, lines: list[str]) -> None:
     if as_json:
         if report is not None:
@@ -104,10 +116,7 @@ def cmd_convert(args) -> int:
               ["conversion refused: input fails the Courant checks"])
         return 1
     text = print_file(tca_to_file(T, meta=dict(sf.meta)))
-    if args.json:
-        _emit({"command": "convert", "file": args.file, "output": text}, None, True, [])
-    else:
-        _write_out(text, args.out)
+    _emit_text({"command": "convert", "file": args.file}, text, args)
     return 0
 
 
@@ -122,11 +131,7 @@ def cmd_build(args) -> int:
         return 1
     V = assemble_view(q)
     text = print_file(view_to_file(V, meta={"cutoff": str(V.cutoff)}))
-    if args.json:
-        _emit({"command": "build", "file": args.file, "output": text, "stats": q.stats()},
-              None, True, [])
-    else:
-        _write_out(text, args.out)
+    _emit_text({"command": "build", "file": args.file, "stats": q.stats()}, text, args)
     return 0
 
 
@@ -180,10 +185,7 @@ def cmd_examples(args) -> int:
     except KeyError as err:  # str(KeyError) would quote the message
         raise _Failure(2, err.args[0])
     text = print_file(courant_to_file(X, meta={"example": args.name}))
-    if args.json:
-        _emit({"command": "examples", "name": args.name, "output": text}, None, True, [])
-    else:
-        _write_out(text, args.out)
+    _emit_text({"command": "examples", "name": args.name}, text, args)
     return 0
 
 

@@ -30,8 +30,9 @@ import re
 from .courant import CourantAlgebroid, UnitalCommAlgebra, check_courant
 from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector
 
-# a kind, then optionally a decimal size or a lower-case word in parentheses
-_NAME_RE = re.compile(r"([a-z_]+)(?:\((?:([0-9]+)|([a-z0-9]+))\))?")
+# a kind, then optionally a decimal size without leading zeros or a
+# lower-case word in parentheses; a size like "01" reads as a word, unknown
+_NAME_RE = re.compile(r"([a-z_]+)(?:\((?:(0|[1-9][0-9]*)|([a-z0-9]+))\))?")
 
 # sl2 in the basis E, F, H, and its Killing form K(x, y) = tr(ad x ad y)
 _SL2_BRACKET = {
@@ -59,7 +60,7 @@ def example_names() -> list[str]:
 
 
 def example(name: str) -> CourantAlgebroid:
-    m = _NAME_RE.fullmatch(name.strip())
+    m = _NAME_RE.fullmatch(name)
     kind, size, word = m.groups() if m else (None, None, None)
     if kind == "trivial" and word is None:
         d = int(size) if size else 2

@@ -44,6 +44,22 @@ is one line per key, or one per degree tuple for space, d, mult and prod,
 and unknown keys are rejected.  A malformed line is reported at its own
 token; a missing binding, a wrong shape or a gap in the degrees at the
 STRUCTURE line.
+
+MAP and PRODUCT entry lines follow one grammar, with any whitespace
+between tokens:
+
+    label     a letter or _, then letters, ASCII digits, _ . [ ]
+    coeff     ASCII digits, or digits/digits
+    term      coeff*label | label
+    expr      0 | [-] term, then (+ term | - term) repeated
+    entry     label -> expr  (MAP),  (label,label) -> expr  (PRODUCT)
+
+Each entry line is read by one whole-line match of it (MAP_ENTRY_RE,
+PRODUCT_ENTRY_RE) and one findall of its terms, in time linear in the
+line's length.  The token walker (_tokenize, _parse_expr) reads every
+other line; it reads an entry line only to report its error, or when a
+MAP entry's label is spelled like a keyword (such a line may open a
+section, as the walker decides).
 """
 
 from __future__ import annotations
@@ -56,8 +72,27 @@ from .graded import GradedVpaView
 from .linalg import BasedSpace, BilinearMap, LinearMap, Scalar, Vector, canonical, format_vector, scalar_from_str
 from .tca import OneTruncatedConformalAlgebra
 
+# The grammar's words, written once: the token walker and the entry-line
+# patterns are built from them.  ASCII digits only, as int() reads any
+# Unicode digit.
+LABEL = r"[A-Za-z_][A-Za-z0-9_.\[\]]*"
+COEFF = r"[0-9]+(?:/[0-9]+)?"
 # after any whitespace, a token or (group 2) a character that starts none
-TOKEN_RE = re.compile(r"\s*(?:(->|[()+,*-]|[A-Za-z_][A-Za-z0-9_.\[\]]*|\d+(?:/\d+)?)|(\S))")
+TOKEN_RE = re.compile(r"\s*(?:(->|[()+,*-]|%s|%s)|(\S))" % (LABEL, COEFF))
+# An expression, with no whitespace at either end: a leading -?\s* would let
+# it and the \s* after -> split one run of spaces in quadratically many ways.
+# Neighbouring parts of the entry patterns start with different kinds of
+# character (space, sign, digit, letter), so a failed match backtracks over
+# each character a bounded number of times: a line is matched or rejected in
+# time linear in its length.
+TERM = r"(?:%s\s*\*\s*)?%s" % (COEFF, LABEL)
+EXPR = r"0|(?:-\s*)?%s(?:\s*[+-]\s*%s)*" % (TERM, TERM)
+MAP_ENTRY_RE = re.compile(r"\s*(%s)\s*->\s*(%s)" % (LABEL, EXPR))
+PRODUCT_ENTRY_RE = re.compile(r"\s*\(\s*(%s)\s*,\s*(%s)\s*\)\s*->\s*(%s)" % (LABEL, LABEL, EXPR))
+# the terms of an expression EXPR matched, back to back: (sign, coefficient, label)
+TERM_RE = re.compile(r"\s*([+-]?)\s*(?:(%s)\s*\*\s*)?(%s)" % (COEFF, LABEL))
+# words that open a line of their own, even where a table entry is due
+KEYWORDS = frozenset(("META", "STRUCTURE", "SPACE", "MAP", "PRODUCT"))
 
 # STRUCTURE keys per kind, in print order: key -> (number of degree indices,
 # the table its name is looked up in, the name the writers give a map or
@@ -210,6 +245,24 @@ def _parse_expr(toks: list, line: int, space: BasedSpace, end: int) -> Vector:
         i += 1
 
 
+def _read_terms(expr: str, space: BasedSpace) -> Vector | None:
+    """The vector of an expression EXPR matched, equal to what _parse_expr
+    reads from it; None where _parse_expr raises (a label not in ``space``,
+    a zero denominator, a coefficient int() refuses)."""
+    if expr == "0":
+        return space.zero()
+    coeffs: dict[int, Scalar] = {}
+    try:
+        for sign, c, label in TERM_RE.findall(expr):
+            idx = space.index(label)
+            c = scalar_from_str(c, sign == "-") if c else (-1 if sign == "-" else 1)
+            x = coeffs.get(idx)
+            coeffs[idx] = c if x is None else x + c
+    except (KeyError, ValueError):
+        return None
+    return Vector._trusted(space, canonical(coeffs))
+
+
 def _usage(key: str, n: int, table: str) -> str:
     if n:
         return "%s binding needs: %s %s %s" % (key, key, DEGREE_WORDS[n], TABLE_WORDS[table][1])
@@ -230,7 +283,7 @@ def _resolve_bindings(sf: StructureFile, lines: list, header: int) -> dict:
         n, table, _ = schema[key]
         args = toks[1:] + [(None, end)]
         for tok, col in args[:n]:
-            if tok is None or not tok.isdigit():
+            if tok is None or not (tok.isascii() and tok.isdigit()):
                 raise ParseError(_usage(key, n, table), line, col)
         degs = tuple(int(tok) for tok, _ in args[:n])
         if degs in bindings[key]:
@@ -257,7 +310,7 @@ def _resolve_bindings(sf: StructureFile, lines: list, header: int) -> dict:
 
 def parse(text: str) -> StructureFile:
     sf = StructureFile()
-    section = None  # ("map", name, entries) | ("product", name, ...) | ("structure",)
+    section = None  # "map" | "product" | "structure", the section being read
     pending: dict = {}
     binding_lines: list = []  # (tokens, line, end) of each STRUCTURE line
     header = 0
@@ -266,11 +319,11 @@ def parse(text: str) -> StructureFile:
         nonlocal section, pending
         if section is None:
             return
-        if section[0] == "map":
+        if section == "map":
             name, domain, codomain, entries = pending["name"], pending["domain"], pending["codomain"], pending["entries"]
             zero = codomain.zero()
             sf.maps[name] = LinearMap(domain, codomain, [entries.get(label, zero) for label in domain.basis])
-        elif section[0] == "product":
+        elif section == "product":
             name = pending["name"]
             left, right, codomain = pending["left"], pending["right"], pending["codomain"]
             entries = pending["entries"]
@@ -288,11 +341,30 @@ def parse(text: str) -> StructureFile:
 
     lines = text.splitlines()
     for line_no, raw in enumerate(lines, start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        if not body.strip():
+        body = (raw.split("#", 1)[0] if "#" in raw else raw).rstrip()
+        if not body:
             continue
+        # an entry line its pattern reads; any other line goes to the walker
+        if section == "product":
+            m = PRODUCT_ENTRY_RE.fullmatch(body)
+            if m:
+                l1, l2, expr = m.groups()
+                entries = pending["entries"]
+                if (l1 in pending["left"] and l2 in pending["right"] and (l1, l2) not in entries
+                        and (v := _read_terms(expr, pending["codomain"])) is not None):
+                    entries[(l1, l2)] = v
+                    continue
+        elif section == "map":
+            m = MAP_ENTRY_RE.fullmatch(body)
+            if m:
+                label, expr = m.groups()
+                entries = pending["entries"]
+                if (label not in KEYWORDS and label in pending["domain"] and label not in entries
+                        and (v := _read_terms(expr, pending["codomain"])) is not None):
+                    entries[label] = v
+                    continue
         raw_words = body.split()
-        if raw_words and raw_words[0] in ("META", "STRUCTURE"):
+        if raw_words[0] in ("META", "STRUCTURE"):
             close_section()
             if raw_words[0] == "META":
                 if len(raw_words) < 3:
@@ -305,7 +377,7 @@ def parse(text: str) -> StructureFile:
                     raise ParseError("only one STRUCTURE section is allowed", line_no, 1)
                 sf.kind = raw_words[1]
                 header = line_no
-                section = ("structure",)
+                section = "structure"
             continue
         toks = _tokenize(body, line_no)
         head, col0 = toks[0]
@@ -337,7 +409,7 @@ def parse(text: str) -> StructureFile:
             for s, col in toks[2:]:
                 if s not in sf.spaces:
                     raise ParseError("undefined space %r" % s, line_no, col)
-            section = ("map",)
+            section = "map"
             pending = {"name": name, "domain": sf.spaces[dom], "codomain": sf.spaces[cod],
                        "entries": {}, "line": line_no}
         elif head == "PRODUCT":
@@ -356,7 +428,7 @@ def parse(text: str) -> StructureFile:
             flag, flag_col = toks[5] if len(toks) == 6 else ("", col0)
             if flag not in ("", "symmetric", "antisymmetric"):
                 raise ParseError("unknown flag %r" % flag, line_no, flag_col)
-            section = ("product",)
+            section = "product"
             pending = {
                 "name": name,
                 "left": sf.spaces[words[2]], "right": sf.spaces[words[3]],
@@ -364,7 +436,7 @@ def parse(text: str) -> StructureFile:
                 "entries": {}, "line": line_no, "flag_col": flag_col,
                 "symmetric": flag == "symmetric", "antisymmetric": flag == "antisymmetric",
             }
-        elif section and section[0] == "map":
+        elif section == "map":
             if len(toks) < 3 or words[1] != "->":
                 raise ParseError("map entry needs: label -> expr", line_no, col0)
             label = words[0]
@@ -375,7 +447,7 @@ def parse(text: str) -> StructureFile:
             pending["entries"][label] = _parse_expr(
                 toks[2:], line_no, pending["codomain"], len(body) + 1
             )
-        elif section and section[0] == "product":
+        elif section == "product":
             if len(words) < 6 or words[0] != "(" or words[2] != "," or words[4] != ")" or words[5] != "->":
                 raise ParseError("product entry needs: (l1,l2) -> expr", line_no, col0)
             l1, l2 = words[1], words[3]
@@ -388,7 +460,7 @@ def parse(text: str) -> StructureFile:
             pending["entries"][(l1, l2)] = _parse_expr(
                 toks[6:], line_no, pending["codomain"], len(body) + 1
             )
-        elif section and section[0] == "structure":
+        elif section == "structure":
             binding_lines.append((toks, line_no, len(body) + 1))
         else:
             raise ParseError("unexpected line outside any section", line_no, col0)

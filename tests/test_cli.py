@@ -192,6 +192,24 @@ def test_examples_emit_json_carries_the_plain_text(capsys):
     assert json.loads(out) == {"command": "examples", "name": "heisenberg", "output": plain}
 
 
+@pytest.mark.parametrize("argv", [
+    ("convert", "exact2.cvpa", "--to", "1tca"),
+    ("build", "exact2.cvpa", "--max-degree", "2"),
+    ("examples", "emit", "heisenberg"),
+], ids=lambda argv: argv[0])
+def test_json_with_out_writes_the_file_and_names_it(tmp_path, capsys, argv):
+    argv = [fixture_path(a) if a.endswith(".cvpa") else a for a in argv]
+    code, plain, _ = run(capsys, *argv)
+    assert code == 0
+    path = str(tmp_path / "out.cvpa")
+    code, out, err = run(capsys, *argv, "--json", "--out", path)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["out"] == path and "output" not in doc
+    with open(path, encoding="utf-8") as fh:
+        assert fh.read() == plain
+
+
 def test_fixture_files_are_canonical_fixpoints():
     for name in ("sl2.cvpa", "exact2.cvpa", "trivial2.cvpa", "heisenberg.cvpa", "broken.cvpa"):
         text = open(fixture_path(name)).read()

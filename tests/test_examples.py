@@ -38,8 +38,9 @@ def test_unknown_names_rejected():
     for bad in ("exact(7)", "nonsense", "quadratic_lie(su3)", "trivial(99)"):
         with pytest.raises(KeyError):
             example(bad)
-    # a size that is not ASCII decimal is an unknown name, not a ValueError
-    for bad in ("trivial(x)", "exact(٣)"):
+    # a size that is not ASCII decimal is an unknown name, not a ValueError;
+    # only the spelling example_names() prints is known
+    for bad in ("trivial(x)", "exact(٣)", "trivial(01)", "exact(02)", " heisenberg "):
         with pytest.raises(KeyError) as err:
             example(bad)
         assert err.value.args[0] == "unknown example %r" % bad

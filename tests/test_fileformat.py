@@ -1,7 +1,12 @@
+import re
+import time
 from fractions import Fraction
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from courant_vpa import fileformat
 from courant_vpa.courant import check_courant, to_1tca
 from courant_vpa.examples import example
 from courant_vpa.fileformat import (
@@ -62,6 +67,7 @@ def test_zero_denominator_is_positioned_error():
 MALFORMED_ENTRIES = {
     "unexpected character": ("(e,e) -> e", "(e,e) -> 2*e$", ("unexpected character '$'", 5, 15)),
     "unexpected character after a space": ("(e,e) -> e", "(e,e) -> e $ e", ("unexpected character '$'", 5, 14)),
+    "non-ASCII digit": ("(e,e) -> e", "(e,e) -> \u0663*e", ("unexpected character '\u0663'", 5, 12)),
     "dangling plus": ("(e,e) -> e", "(e,e) -> e +", ("expected a term", 5, 15)),
     "bare coefficient": ("(e,e) -> e", "(e,e) -> e - 3/2", ("a bare coefficient needs *label (or write 0)", 5, 16)),
     "star without label": ("(e,e) -> e", "(e,e) -> 2*", ("expected a basis label after *", 5, 14)),
@@ -147,6 +153,7 @@ MALFORMED_BINDINGS = {
     "missing d": (VIEW, "  d 0 d0\n", "", ("graded-vpa needs d at every degree below the top", 12, 1)),
     "degree not a number": (VIEW, "space 0 A", "space x A", ("space binding needs: space DEGREE name", 13, 9)),
     "degree a fraction": (VIEW, "space 0 A", "space 1/2 A", ("space binding needs: space DEGREE name", 13, 9)),
+    "degree a non-ASCII digit": (VIEW, "space 1 B", "space \u0661 B", ("unexpected character '\u0661'", 14, 9)),
     "degree without a name": (VIEW, "space 0 A", "space 0", ("space binding needs: space DEGREE name", 13, 10)),
     "too few degrees": (
         VIEW, "prod 0 1 1 p_0_1_1", "prod 0 1 p_0_1_1", ("prod binding needs: prod N P Q productname", 19, 12)
@@ -172,6 +179,115 @@ def test_malformed_binding_errors_are_pinned(case):
     with pytest.raises(ParseError) as err:
         parse(text.replace(old, new, 1))
     assert (err.value.message, err.value.line, err.value.col) == want
+
+
+# MINIMAL with a larger B, two of its labels spelled like keywords, and two
+# extra tables on it, PRODUCT extra and MAP extra2, each to take one
+# generated entry line
+ENTRY_FILE = MINIMAL.replace("SPACE B u", "SPACE B u v x.y[1] META SPACE").replace(
+    "STRUCTURE courant", "PRODUCT extra B B B\n%s\nMAP extra2 B B\n%s\nSTRUCTURE courant"
+)
+SEPARATORS = st.sampled_from(["", " ", "  ", "\t"])
+# labels of B, one not in B, and two of B's that a walker reads as keywords
+MAP_HEADS = ["u", "x.y[1]", "v", "u", "w", "META", "SPACE"]
+PAIR_HEADS = ["(u,v)", "( v , x.y[1] )", "(x.y[1],u)", "(u,u)", "(w,u)", "(u v)"]
+# tokens, characters that start none, a comment sign, and a non-breaking
+# space, which both readers take for whitespace
+STRAYS = ["u", "0", "2", "3/4", "*", "+", "-", "/", "->", "(", ",", "$", "\u0663", "\xe9", "#", "\xa0", ">"]
+
+
+@st.composite
+def entry_lines(draw):
+    """(is it a PRODUCT entry, its head, the line): an entry line built
+    from labels, coefficients, signs and spaces, valid or not, with
+    perhaps one stray token or character put anywhere in it."""
+    sep = lambda: draw(SEPARATORS)
+    product = draw(st.booleans())
+    head = draw(st.sampled_from(PAIR_HEADS if product else MAP_HEADS))
+    # a sign before each term but the first, which may take "-"; "" joins
+    # two terms into a label after a label, or one label
+    terms = draw(st.lists(st.tuples(
+        st.sampled_from(["+", "-", "+", "-", ""]),
+        st.sampled_from(["", "0*", "2*", "10 * ", "3/4*", "6/3*", "007*", "1/0*"]),
+        st.sampled_from(["u", "v", "x.y[1]", "u", "v", "w"]),
+    ), min_size=1, max_size=5))
+    terms[0] = (draw(st.sampled_from(["", "", "-", "+"])),) + terms[0][1:]
+    expr = "".join(sign + sep() + coeff + label + sep() for sign, coeff, label in terms)
+    expr = draw(st.sampled_from([expr] * 5 + ["0", "00", "-0"]))
+    line = "  " + head + sep() + "->" + sep() + expr
+    if draw(st.integers(0, 2)) == 0:
+        at = draw(st.integers(0, len(line)))
+        line = line[:at] + draw(st.sampled_from(STRAYS)) + line[at:]
+    return product, head, line
+
+
+def _outcome(text):
+    try:
+        return parse(text)
+    except ParseError as err:
+        return (err.message, err.line, err.col)
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry_lines())
+def test_entry_patterns_and_walker_read_the_same_lines(entry):
+    # The walker alone, with both entry patterns matching nothing, is the
+    # reference: the same StructureFile or the same ParseError must come
+    # out, and a line the walker accepts must not need it (a MAP line whose
+    # label is a keyword aside, which is the walker's to read).
+    product, head, line = entry
+    text = ENTRY_FILE % ((line, "") if product else ("", line))
+    line_no = text.splitlines().index(line) + 1
+    walked = []
+    tokenize = fileformat._tokenize
+
+    def spy(body, n):
+        walked.append(n)
+        return tokenize(body, n)
+
+    never = re.compile(r"(?!)")
+    with patch.object(fileformat, "MAP_ENTRY_RE", never), patch.object(fileformat, "PRODUCT_ENTRY_RE", never):
+        want = _outcome(text)
+    with patch.object(fileformat, "_tokenize", spy):
+        got = _outcome(text)
+    assert got == want
+    if isinstance(want, fileformat.StructureFile) and head not in fileformat.KEYWORDS:
+        assert line_no not in walked
+
+
+def _int_refusal(digits: str) -> str:
+    """What the walker says of a bare coefficient: int()'s refusal of a
+    long digit string where the interpreter limits it (3.11 on), else that
+    a coefficient needs *label."""
+    try:
+        int(digits)
+    except ValueError as err:
+        return str(err)
+    return "a bare coefficient needs *label (or write 0)"
+
+
+N = 20_000
+# (expression of the (e,e) entry in MINIMAL, line 5, the ParseError's (message, col))
+LONG_ENTRIES = {
+    "a digit run": ("1" * N, (_int_refusal("1" * N), 12)),
+    "2* and a digit run": ("2*" + "1" * N, ("expected a basis label after *", 14)),
+    "a long label and $": ("e" * N + "$", ("unexpected character '$'", 12 + N)),
+    "spaces after the arrow and $": (" " * N + "$", ("unexpected character '$'", 12 + N)),
+    "terms ending in a label": ("e" + " + 2*e" * N + " e", ("expected + or -, got 'e'", 14 + 6 * N)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LONG_ENTRIES))
+def test_long_malformed_entries_are_rejected_in_time(case):
+    # each pattern backtracks a bounded number of times per character, so
+    # these lines cost milliseconds; a quadratic pattern would take seconds
+    expr, want = LONG_ENTRIES[case]
+    text = MINIMAL.replace("(e,e) -> e", "(e,e) -> " + expr, 1)
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert time.perf_counter() - start < 1.0
+    assert (err.value.message, err.value.line, err.value.col) == (want[0], 5, want[1])
 
 
 # f.f = 2f, so the unit is 1/2 f: a unit that is not a single basis vector
