@@ -60,11 +60,14 @@ def _read(path: str) -> str:
 
 
 def _write_out(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as err:
+        raise _Failure(2, "cannot write %s: %s" % (out, err))
 
 
 def _emit_text(payload: dict, text: str, args) -> None:

@@ -135,6 +135,10 @@ def assemble_view(q: CourantQuotient, cutoff: int | None = None) -> GradedVpaVie
     * hs, for u of degree >= 2 and v of degree <= 1:
       u_n v = sum_i (-1)^(n+i+1) (1/i!) D^i(v_(n+i) u).
 
+    Every divisor of a basis monomial, and D^(k-1)(b) of a basis D^k(b),
+    has been a basis monomial on every quotient tested (six built-ins up
+    to degree 6), so ``normal_form`` reduces a factor only on a miss.
+
     The tables fill with left degree <= 1 first and then left degree
     >= 2, each by increasing right degree, so every entry a rule reads is
     already there: hd and dcomm read entries with the same left degree and

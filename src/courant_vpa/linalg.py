@@ -47,6 +47,7 @@ with coefficient 1, and no row holds another row's lead.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
@@ -70,22 +71,30 @@ def rational(x) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def scalar_from_str(text: str, negate: bool = False) -> Scalar:
-    """Parse ``p`` or ``p/q`` into an exact rational, negated when
+    """Parse ``p`` or ``p/q``, exactly ``-?[0-9]+(/[0-9]+)?`` as
+    ``scalar_to_str`` prints it, into an exact rational, negated when
     ``negate`` is set.
 
     Raises ValueError on malformed input or a zero denominator.
     """
-    text = text.strip()
-    if "/" in text:
-        num, _, den = text.partition("/")
-        d = int(den)
-        if d == 0:
-            raise ValueError("zero denominator in %r" % text)
-        n = int(num)
-        return rational(Fraction(-n if negate else n, d))
-    n = int(text)
-    return -n if negate else n
+    if text.isascii() and text.isdigit():  # the common case, p >= 0
+        n = int(text)
+        return -n if negate else n
+    m = _SCALAR_RE.fullmatch(text)
+    if m is None:
+        raise ValueError("malformed scalar %r" % text)
+    num, den = m.groups()
+    n = int(num)
+    if den is None:
+        return -n if negate else n
+    d = int(den)
+    if d == 0:
+        raise ValueError("zero denominator in %r" % text)
+    return rational(Fraction(-n if negate else n, d))
 
 
 def scalar_to_str(value: Scalar) -> str:

@@ -361,8 +361,9 @@ def check_vertex_lie(inst: VertexLie) -> CheckReport:
     hs, hp, dcomm, ha and grading are stated in ``laws``; they are verified
     for all tuples whose total degree stays within the cutoff (so every
     intermediate is representable), with D applied wherever its result
-    stays within the algebra's cutoff.  The normal-form dimensions are
-    checked here: degree 0 is A and each degree 1..cutoff is B.
+    stays within the algebra's cutoff.  The normal-form dimensions need
+    no check: ``basis_elements`` builds dim A elements of degree 0 and
+    dim B of each degree 1..cutoff.
     """
     top = inst.cutoff
     elems = [(l, e, e.max_degree()) for l, e in inst.basis_elements()]
@@ -370,20 +371,9 @@ def check_vertex_lie(inst: VertexLie) -> CheckReport:
     triples = [(x, y, [z for z in elems if x[2] + y[2] + z[2] <= top]) for x, y in pairs]
     fmt = lambda u: format_element(inst, u)
 
-    def dims_part():
-        out = []
-        if len([l for l, e, d in elems if d == 0]) != inst.A.dim:
-            out.append(Violation(MODULE, "dim", ("degree=0",), "basis count", str(inst.A.dim)))
-        for n in range(1, top + 1):
-            cnt = len([l for l, e, d in elems if d == n])
-            if cnt != inst.B.dim:
-                out.append(Violation(MODULE, "dim", ("degree=%d" % n,), str(cnt), str(inst.B.dim)))
-        return out
-
     return CheckReport(
         laws.check_pair_laws(inst, MODULE, fmt, top, pairs)
         + laws.check_ha(inst, MODULE, fmt, top, triples)
-        + dims_part()
     )
 
 

@@ -210,6 +210,24 @@ def test_json_with_out_writes_the_file_and_names_it(tmp_path, capsys, argv):
         assert fh.read() == plain
 
 
+
+@pytest.mark.parametrize("argv", [
+    ("convert", "exact2.cvpa", "--to", "1tca"),
+    ("build", "exact2.cvpa", "--max-degree", "2"),
+    ("examples", "emit", "heisenberg"),
+    ("examples", "emit", "heisenberg", "--json"),
+    ("extract", "view"),
+], ids=["convert", "build", "examples-emit", "examples-emit-json", "extract"])
+def test_out_to_an_unwritable_path_exits_2_and_names_it(tmp_path, capsys, argv):
+    view = str(tmp_path / "view.cvpa")
+    if "view" in argv:
+        assert run(capsys, "build", fixture_path("heisenberg.cvpa"), "--max-degree", "2", "--out", view)[0] == 0
+    argv = [fixture_path(a) if a.endswith(".cvpa") else view if a == "view" else a for a in argv]
+    path = str(tmp_path / "missing" / "out.cvpa")
+    code, out, err = run(capsys, *argv, "--out", path)
+    assert (code, out) == (2, "")
+    assert err.startswith("cannot write %s: " % path)
+
 def test_fixture_files_are_canonical_fixpoints():
     for name in ("sl2.cvpa", "exact2.cvpa", "trivial2.cvpa", "heisenberg.cvpa", "broken.cvpa"):
         text = open(fixture_path(name)).read()

@@ -106,7 +106,10 @@ def test_entry_points_refuse_floats():
             make()
 
 
-@pytest.mark.parametrize("text", ["0.5", "1e3", "", "a", "1/2/3", "1/", "/2", "1/0", " 1 / 2.0"])
+@pytest.mark.parametrize("text", [
+    "0.5", "1e3", "", "a", "1/2/3", "1/", "/2", "1/0", " 1 / 2.0",
+    "1_000", "\u0663", " 3 ", "-1/-2", "3/-4", "+3",
+])
 def test_scalar_from_str_refuses_malformed_text(text):
     with pytest.raises(ValueError):
         scalar_from_str(text)

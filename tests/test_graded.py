@@ -1,6 +1,7 @@
 import hashlib
 import os
 from fractions import Fraction
+from itertools import combinations
 from importlib import resources
 
 import pytest
@@ -89,6 +90,21 @@ def test_view_dimensions_follow_quotient_bases():
     # degree-3 basis is smaller than the raw monomial count: relations bite
     assert len(q.basis_monomials(3)) == len(q._pure_b_monomials(3)) - q.relation_dim(3)
 
+
+
+@pytest.mark.parametrize("name,cutoff", [
+    ("exact(2)", 6), ("exact(3)", 6), ("exact(4)", 5), ("heisenberg", 5), ("quadratic_lie(sl2)", 4), ("trivial(3)", 4),
+])
+def test_basis_is_closed_under_division(name, cutoff):
+    # assemble_view looks up the factors hd and dcomm split a basis
+    # monomial into (each divisor, and D^(k-1)(b) of a D^k(b)) among the
+    # basis monomials, and reduces one only when it is missing
+    q = CourantQuotient(example(name), cutoff)
+    basis = {m for degree in range(1, cutoff + 1) for m in q.basis_monomials(degree)}
+    for m in basis:
+        assert {d for k in range(1, len(m)) for d in combinations(m, k)} <= basis, m
+        if len(m) == 1 and m[0][1] >= 1:
+            assert (("b", m[0][1] - 1, m[0][2]),) in basis, m
 
 def test_mult_tables_are_flip_consistent():
     V = view_for("exact(2)")

@@ -3,10 +3,12 @@ import os
 from collections import Counter
 from fractions import Fraction
 
+from courant_vpa import laws
 from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
 from courant_vpa.linalg import BasedSpace, BilinearMap, LinearMap
 from courant_vpa.tca import OneTruncatedConformalAlgebra, check_all, check_leibniz_form
+from courant_vpa.vlie import VertexLie, format_element
 
 from test_laws import table_mutants
 
@@ -164,3 +166,21 @@ def test_biconditional_with_leibniz_form_on_mutants():
         assert passed == check_leibniz_form(bad).passed, (name, label)
         failing += not passed
     assert failing > 500
+
+
+def test_shared_laws_at_degree_one_catch_what_check_all_catches():
+    # derivation, commutativity and associativity of the conformal pair are
+    # hp/dcomm, hs and ha of laws.py at degrees 0 and 1: run those on
+    # VertexLie(T, 1) over every pair and every triple of basis elements
+    caught = 0
+    for name, label, bad in tca_mutants():
+        inst = VertexLie(bad, 1)
+        elems = [(l, e, e.max_degree()) for l, e in inst.basis_elements()]
+        fmt = lambda u: format_element(inst, u)
+        pairs = [(x, y) for x in elems for y in elems]
+        violations = laws.check_pair_laws(inst, "vlie", fmt, 1, pairs) + laws.check_ha(
+            inst, "vlie", fmt, 1, [(x, y, elems) for x, y in pairs]
+        )
+        assert (not violations) == check_all(bad).passed, (name, label)
+        caught += bool(violations)
+    assert caught == 558

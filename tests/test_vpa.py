@@ -1,3 +1,4 @@
+import functools
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from courant_vpa.courant import to_1tca
 from courant_vpa.examples import example
+from courant_vpa.tca import OneTruncatedConformalAlgebra
 from courant_vpa.vlie import CutoffError, VertexLie
 from courant_vpa.vpa import SCElement, SymAlgebra, check_vpa, mono_degree
 
@@ -114,7 +116,6 @@ def broken_heisenberg():
     """The Heisenberg pair with [beta, beta] = beta, which breaks skew
     symmetry."""
     from courant_vpa.linalg import BilinearMap, Vector
-    from courant_vpa.tca import OneTruncatedConformalAlgebra
 
     T = to_1tca(example("heisenberg"))
     rows = [list(r) for r in T.p0_11.table]
@@ -230,7 +231,7 @@ def test_check_vpa_drops_its_memo(monkeypatch):
         sizes.append(len(sym._memo))
         raise RuntimeError("stop")
 
-    # the laws ask for D after the unit and hd sections have filled the memo
+    # hs asks for D after its pair's products have filled the memo
     monkeypatch.setattr(sym, "d", failing_d)
     with pytest.raises(RuntimeError):
         check_vpa(sym)
@@ -259,6 +260,45 @@ def test_memo_values_are_interned_item_tuples():
             assert seen.setdefault(item, item) is item
     # no value repeats an item, so the surplus is items shared by values
     assert sum(len(v) for v in values) > len(seen)
+
+
+# -- unit and hd by construction ---------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _rule_syms(name):
+    """SymAlgebras at cutoff 3 on to_1tca(name), then on each of its +1
+    single-entry mutants."""
+    from test_laws import table_mutants  # test_laws imports this module
+
+    T = to_1tca(example(name))
+    mutants = [OneTruncatedConformalAlgebra(C0=T.C0, C1=T.C1, **parts) for _, parts in table_mutants(T)]
+    return [SymAlgebra(VertexLie(t, 3)) for t in [T] + mutants]
+
+
+@settings(max_examples=500, deadline=None)
+@given(data=st.data())
+def test_unit_and_hd_hold_for_any_tables(data):
+    # the lemma of the vpa docstring: u_n 1 = 1_n u = 0 and
+    # u_n (v.w) = (u_n v).w + v.(u_n w), whatever the tables hold
+    name = data.draw(st.sampled_from(["heisenberg", "exact(2)"]))
+    sym = data.draw(st.sampled_from(_rule_syms(name)))
+    top = sym.cutoff
+    monos = sym.spanning_monomials(top, 3)
+    if data.draw(st.booleans()):  # generator route
+        mu = data.draw(st.sampled_from([m for m in monos if len(m) == 1]))
+    else:  # skew route
+        mu = data.draw(st.sampled_from([m for m in monos if len(m) > 1]))
+    mv = data.draw(st.sampled_from(monos))
+    mw = data.draw(st.sampled_from([m for m in monos if mono_degree(m) + mono_degree(mv) <= top]))
+    p, qr = mono_degree(mu), mono_degree(mv) + mono_degree(mw)
+    lo = max(0, p + qr - top - 1)
+    n = data.draw(st.integers(lo, max(lo, p + qr - 1)))
+    u, v, w, one = SCElement({mu: 1}), SCElement({mv: 1}), SCElement({mw: 1}), sym.one()
+    lhs = sym.product(n, u, sym.multiply(v, w))
+    assert lhs == sym.multiply(sym.product(n, u, v), w) + sym.multiply(v, sym.product(n, u, w))
+    assert sym.product(n, u, one).is_zero()
+    assert sym.product(n, one, u).is_zero()
 
 
 # -- zero arguments ----------------------------------------------------------
