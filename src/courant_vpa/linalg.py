@@ -47,7 +47,6 @@ with coefficient 1, and no row holds another row's lead.
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from numbers import Rational
 from typing import Iterable, Mapping
@@ -71,9 +70,6 @@ def rational(x) -> Scalar:
     return x.numerator if x.denominator == 1 else x
 
 
-_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def scalar_from_str(text: str, negate: bool = False) -> Scalar:
     """Parse ``p`` or ``p/q``, exactly ``-?[0-9]+(/[0-9]+)?`` as
     ``scalar_to_str`` prints it, into an exact rational, negated when
@@ -81,15 +77,12 @@ def scalar_from_str(text: str, negate: bool = False) -> Scalar:
 
     Raises ValueError on malformed input or a zero denominator.
     """
-    if text.isascii() and text.isdigit():  # the common case, p >= 0
-        n = int(text)
-        return -n if negate else n
-    m = _SCALAR_RE.fullmatch(text)
-    if m is None:
+    num, slash, den = text.partition("/")
+    signed = num.isdigit() or num[:1] == "-" and num[1:].isdigit()
+    if not (text.isascii() and signed and (not slash or den.isdigit())):
         raise ValueError("malformed scalar %r" % text)
-    num, den = m.groups()
     n = int(num)
-    if den is None:
+    if not slash:
         return -n if negate else n
     d = int(den)
     if d == 0:

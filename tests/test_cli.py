@@ -210,7 +210,6 @@ def test_json_with_out_writes_the_file_and_names_it(tmp_path, capsys, argv):
         assert fh.read() == plain
 
 
-
 @pytest.mark.parametrize("argv", [
     ("convert", "exact2.cvpa", "--to", "1tca"),
     ("build", "exact2.cvpa", "--max-degree", "2"),
@@ -227,6 +226,7 @@ def test_out_to_an_unwritable_path_exits_2_and_names_it(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--out", path)
     assert (code, out) == (2, "")
     assert err.startswith("cannot write %s: " % path)
+
 
 def test_fixture_files_are_canonical_fixpoints():
     for name in ("sl2.cvpa", "exact2.cvpa", "trivial2.cvpa", "heisenberg.cvpa", "broken.cvpa"):

@@ -91,7 +91,6 @@ def test_view_dimensions_follow_quotient_bases():
     assert len(q.basis_monomials(3)) == len(q._pure_b_monomials(3)) - q.relation_dim(3)
 
 
-
 @pytest.mark.parametrize("name,cutoff", [
     ("exact(2)", 6), ("exact(3)", 6), ("exact(4)", 5), ("heisenberg", 5), ("quadratic_lie(sl2)", 4), ("trivial(3)", 4),
 ])
@@ -105,6 +104,7 @@ def test_basis_is_closed_under_division(name, cutoff):
         assert {d for k in range(1, len(m)) for d in combinations(m, k)} <= basis, m
         if len(m) == 1 and m[0][1] >= 1:
             assert (("b", m[0][1] - 1, m[0][2]),) in basis, m
+
 
 def test_mult_tables_are_flip_consistent():
     V = view_for("exact(2)")
