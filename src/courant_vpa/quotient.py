@@ -45,6 +45,9 @@ per degree is, and that is finite.
 The build skips four families of shadows that are zero by construction
 (``_build_relations``): exact(4) at cutoff 5 inserts 16,396 of its
 41,350 shadows, through 7,439 distinct monomials instead of 20,370.
+The 1,178 rows kept clear their leads from the 1,120 stored rows that
+hold them, which the ``Echelon``'s column index names; a scan of every
+stored row of the degree would look at 382,700.
 The inserted shadows still share monomials, so the build runs inside
 ``CourantQuotient.memoized``, which keeps the fused form of each
 (strategy, monomial) as a tuple of (monomial, coefficient) items, which
@@ -201,13 +204,14 @@ class CourantQuotient:
 
     def stats(self) -> dict:
         """What the quotient has done so far: relation dimensions of
-        degrees 2..cutoff, shadows inserted into the relation bases and the
-        rows they kept, stage-one rewrite steps, the most entries one
-        fusion memo held, and the n-th product entries of the views
-        assembled from it, by how each was filled: computed in the
-        symmetric algebra, derived by the vertex Poisson laws, or zero by
-        grading."""
+        degrees 2..cutoff, the stored relation rows a new lead was cleared
+        from, shadows inserted into the relation bases and the rows they
+        kept, stage-one rewrite steps, the most entries one fusion memo
+        held, and the n-th product entries of the views assembled from it,
+        by how each was filled: computed in the symmetric algebra, derived
+        by the vertex Poisson laws, or zero by grading."""
         return {"relation_dims": [self.relation_dim(n) for n in range(2, self.cutoff + 1)],
+                "rows_cleared": sum(ech.cleared for ech in self._relations.values()),
                 **self._counts}
 
     def add_counts(self, **counts: int) -> None:

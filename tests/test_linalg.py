@@ -17,6 +17,7 @@ from courant_vpa.linalg import (
     item_table,
     map_apply,
     rank,
+    rational,
     scalar_from_str,
     neg_items,
     scalar_to_str,
@@ -410,6 +411,58 @@ def test_echelon_eliminate_clears_leads(rows, extra, coefs, in_span):
     # v - got lies in the span
     diff = {k: v.get(k, 0) - got.get(k, 0) for k in set(v) | set(got)}
     assert dense_rank(rows + [diff]) == dense_rank(rows)
+
+
+class FullScanEchelon(Echelon):
+    """Echelon with the clearing it had before its column index: ``insert``
+    looks for the new lead in every stored row.  ``eliminate`` is the
+    library's own, which never touches a stored row."""
+
+    def insert(self, vec):
+        vec = self.eliminate(vec)
+        if not vec:
+            return False
+        lead = max(vec)
+        c = vec[lead]
+        row = vec if c == 1 else {k: rational(Fraction(w, c)) for k, w in vec.items()}
+        for other in self.rows.values():
+            c = other.get(lead)
+            if c:
+                self.cleared += 1
+                for k, w in row.items():
+                    nv = other.get(k, 0) - c * w
+                    if nv:
+                        other[k] = rational(nv)
+                    else:
+                        del other[k]
+        self.rows[lead] = row
+        return True
+
+
+SCAN_KEYS = 10
+scan_rows = st.dictionaries(st.integers(0, SCAN_KEYS - 1), kernel_scalars, max_size=5)
+
+
+# the second insert clears its lead 2 from the first row: key 0 cancels
+# there and key 1 fills in
+@example([{4: 1, 2: 1, 0: 1}, {2: 1, 0: 1, 1: 1}])
+@given(st.lists(scan_rows, max_size=12))
+def test_echelon_index_matches_full_scan(rows):
+    ech, ref = Echelon(), FullScanEchelon()
+    for r in rows:
+        assert ech.insert(r) == ref.insert(r)
+        # the index lists exactly the stored rows that hold each non-lead key
+        holders = {}
+        for lead, row in ech.rows.items():
+            for k in row:
+                if k != lead:
+                    holders.setdefault(k, []).append(lead)
+        assert {k: sorted(v) for k, v in ech._index.items() if v} == {k: sorted(v) for k, v in holders.items()}
+        # the same rows, each with its keys in the same order
+        assert [(lead, list(row.items())) for lead, row in ech.rows.items()] == [
+            (lead, list(row.items())) for lead, row in ref.rows.items()
+        ]
+        assert ech.cleared == ref.cleared
 
 
 @given(st.integers(0, 4), st.integers(0, 4), st.data())

@@ -8,6 +8,7 @@ per-monomial and memoized, kept as the reference: one explicit stack of
 SymAlgebra.multiply.
 """
 
+import hashlib
 from dataclasses import replace
 from fractions import Fraction
 from math import comb
@@ -132,14 +133,27 @@ BUILTINS = ["trivial(%d)" % d for d in range(1, 7)] + [
 
 @pytest.mark.parametrize("name", BUILTINS)
 def test_relation_rows_match_reference(name):
-    # Every built-in at every cutoff 2..5.  The reference costs under 7 s
-    # for all of them on a 2-core machine, 2.2 s of it exact(4) at cutoff 5.
+    # Every built-in at every cutoff 2..5.  Build and reference together
+    # cost about 2 s for all of them on a 2-core machine, 1.3 s of it
+    # exact(4).
     X = example(name)
     for cutoff in range(2, 6):
         q = CourantQuotient(X, cutoff)
         want = reference_relations(q)
         for n in range(2, cutoff + 1):
             assert q._relations[n].rows == want[n].rows, (name, cutoff, n)
+
+
+def test_exact4_degree6_rows_are_pinned():
+    # Beyond the reference test's cutoff: the sha256 of exact(4)'s 2,342
+    # degree-6 relation rows, each as its lead and its items in stored key
+    # order, computed with the full-scan clearing that test_linalg's
+    # FullScanEchelon keeps as the reference.
+    q = CourantQuotient(example("exact(4)"), 6)
+    rows = [(lead, list(row.items())) for lead, row in q._relations[6].rows.items()]
+    assert len(rows) == 2_342
+    digest = hashlib.sha256(repr(rows).encode()).hexdigest()
+    assert digest == "ddfc887effc577b01d7f613bde59a296f64937122d2bdc2cc64876e51f401933"
 
 
 @pytest.mark.parametrize(
@@ -343,6 +357,9 @@ def test_stats_of_exact4_cutoff5():
     assert stats["shadows_inserted"] == 16_396
     assert stats["shadows_inserted"] + stats["shadows_skipped"] == 41_350
     assert stats["rows_kept"] == 1_178
+    # each kept row's lead is cleared from the 1,120 stored rows that hold
+    # it, where scanning every stored row of its degree looks at 382,700
+    assert stats["rows_cleared"] == 1_120
     # every distinct monomial the build passes through is fused once
     assert stats["fusion_steps"] == stats["peak_memo_entries"] == 7_439
 
