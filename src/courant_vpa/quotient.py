@@ -30,10 +30,12 @@ independent in general: when the module action has a kernel, distinct
 fusion orders land on different monomial combinations that are congruent
 modulo the ideal (in the exact(2) instance, x.x.D^2(xD) fuses to 0 one
 way and to 3 xD.dx.dx the other, so xD.dx.dx itself lies in the ideal).
-For each degree up to the cutoff the finite subspace of such residual
-relations is generated by reducing (pure-B monomial).D^k(relator)
-products and closing under multiplication by degree-0 generators, kept
-as a ``linalg.Echelon``: each row is stored under its largest monomial
+For each degree up to the cutoff, in increasing order, the finite
+subspace of such residual relations is generated by the fused seeds
+m.D^k(relator) whose pure-B multiplier m has at most one factor, the
+lower-degree relations times D^j(b) generators, and the closure under
+degree-0 generators (``_build_relations``), kept as a
+``linalg.Echelon``: each row is stored under its largest monomial
 with coefficient 1 and holds no other row's lead, so the basis is unique
 and stage two eliminates against it in one pass.  Every eliminated
 combination is produced from ideal elements only, so reduction is exact;
@@ -42,12 +44,12 @@ that makes the round trip on-the-nose.  The full ideal is never
 materialized (it has unbounded A-factor content); only its pure-B shadow
 per degree is, and that is finite.
 
-The build skips four families of shadows that are zero by construction
-(``_build_relations``): exact(4) at cutoff 5 inserts 16,396 of its
-41,350 shadows, through 7,439 distinct monomials instead of 20,370.
-The 1,178 rows kept clear their leads from the 1,120 stored rows that
-hold them, which the ``Echelon``'s column index names; a scan of every
-stored row of the degree would look at 382,700.
+The build skips four families of shadows that are zero by construction:
+exact(4) at cutoff 5 inserts 2,962 seed shadows, 2,646 multiples and
+3,534 closure shadows (16,396 shadows when every multiplier was fused),
+through 7,300 distinct monomials.  The 1,178 rows kept clear their
+leads from the 955 stored rows that hold them, which the ``Echelon``'s
+column index names.
 The inserted shadows still share monomials, so the build runs inside
 ``CourantQuotient.memoized``, which keeps the fused form of each
 (strategy, monomial) as a tuple of (monomial, coefficient) items, which
@@ -82,7 +84,9 @@ from __future__ import annotations
 import random
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import groupby
 from math import comb
+from operator import itemgetter
 
 from .courant import (
     CourantAlgebroid,
@@ -178,7 +182,8 @@ class CourantQuotient:
         # inside ``memoized``: strategy -> monomial -> its fused items
         self._memo: dict[str, dict[Monomial, tuple]] | None = None
         self._counts = dict.fromkeys(
-            ("shadows_inserted", "shadows_skipped", "rows_kept", "fusion_steps", "peak_memo_entries",
+            ("shadows_inserted", "shadows_skipped", "multiples_inserted", "closure_inserted", "closure_kept",
+             "rows_kept", "fusion_steps", "peak_memo_entries",
              "view_entries_sym", "view_entries_laws", "view_entries_zero"),
             0,
         )
@@ -205,11 +210,13 @@ class CourantQuotient:
     def stats(self) -> dict:
         """What the quotient has done so far: relation dimensions of
         degrees 2..cutoff, the stored relation rows a new lead was cleared
-        from, shadows inserted into the relation bases and the rows they
-        kept, stage-one rewrite steps, the most entries one fusion memo
-        held, and the n-th product entries of the views assembled from it,
-        by how each was filled: computed in the symmetric algebra, derived
-        by the vertex Poisson laws, or zero by grading."""
+        from, what the relation build inserted by source (seed shadows,
+        multiples of lower-degree rows, closure shadows), the shadows it
+        skipped as 0, the rows kept in all and by the closure, stage-one
+        rewrite steps, the most entries one fusion memo held, and the
+        n-th product entries of the views assembled from it, by how each
+        was filled: computed in the symmetric algebra, derived by the
+        vertex Poisson laws, or zero by grading."""
         return {"relation_dims": [self.relation_dim(n) for n in range(2, self.cutoff + 1)],
                 "rows_cleared": sum(ech.cleared for ech in self._relations.values()),
                 **self._counts}
@@ -307,27 +314,41 @@ class CourantQuotient:
                     stack.append((gi, remaining - d, acc + (gens[gi],)))
         return sorted(out)
 
-    def _insert_shadow(self, ech: Echelon, terms) -> bool:
-        """Fuse sum c.m over (m, c) pairs, an ideal element of degree >= 2,
-        and insert its pure-B shadow into ``ech``."""
-        shadow = self._fused_terms(terms, "leftmost")
-        if any(t[0][0] == "a" and c for t, c in shadow.items()):
-            raise AssertionError("relation generator produced a degree-0 part")
+    def _insert(self, ech: Echelon, vec: dict, source: str) -> bool:
+        """Insert ``vec``, counting it under ``source``."""
         counts = self._counts
-        counts["shadows_inserted"] += 1
-        kept = ech.insert(shadow)
+        counts[source] += 1
+        kept = ech.insert(vec)
         counts["rows_kept"] += kept
         return kept
 
-    def _build_relations(self):
-        """Generate pure-B shadows of ideal elements per degree and close
-        under multiplication by degree-0 generators.
+    def _shadow(self, terms) -> dict[Monomial, Scalar]:
+        """The pure-B shadow of sum c.m over (m, c) pairs, an ideal element
+        of degree >= 2: its leftmost fused form."""
+        shadow = self._fused_terms(terms, "leftmost")
+        if any(t[0][0] == "a" and c for t, c in shadow.items()):
+            raise AssertionError("relation generator produced a degree-0 part")
+        return shadow
 
-        The shadow of a seed m.D^k(g), m pure B, is F(m.D^k g) with F the
-        leftmost fusion, linear in the terms.  Four families of shadows are
-        0 by construction and are skipped.  Each premise is read off the
-        item tables ``_act``, ``_partial`` and ``_mult`` and their columns,
-        so it is tested, not assumed, when the algebroid is not certified.
+    def _build_relations(self):
+        """Build R_n for n = 2..cutoff in increasing order from three
+        sources, each a pure-B ideal element for any tables: the shadows
+        F(m.D^k g) of seeds, F the leftmost fusion; g.row for every
+        generator g = D^j(b) and row of R_(n-j-1); and F(a.row) for each
+        row of R_n and degree-0 generator a, until no row is added.
+
+        Multiplier lemma: if every term of D^k g has at most one A-factor,
+        then F(m.D^k g) = m'.F(m0.D^k g) for m = m0.m' with m0 the least
+        factor, since F moves that A-factor into min(m0, its own D-power
+        factor) in both, and one step leaves pure-B terms.  So such seeds
+        take m of at most one factor and the second source holds the rest.
+        E0's seeds at k = 0 take every m: a.a' has two A-factors, and
+        m0.(e - 1) has degree 1, where no R_n is kept.
+
+        Four families of shadows are 0 by construction and are skipped.
+        Each premise is read off the item tables ``_act``, ``_partial`` and
+        ``_mult`` and their columns, so it is tested, not assumed, when the
+        algebroid is not certified.
 
         Lemma: if the unit is a basis vector e_u with e_u.b = b, p(e_u) = 0
         and e_u a = a e_u = a, then F(e_u.M) = F(M).  By induction on the
@@ -350,16 +371,23 @@ class CourantQuotient:
         4. Closure: by the lemma e_u.row fuses to the row, already held.
         """
         counts = self._counts
-        for n, rule, m, dk in self._seeds():
-            if rule is None:
-                self._insert_shadow(
-                    self._relations[n], ((make_monomial(m + t), c) for t, c in dk.items())
-                )
-            else:
-                counts["shadows_skipped"] += 1
         u = self._identity_unit()
-        for ech in self._relations.values():
-            # closure: a relation times a degree-0 generator is a relation
+        gens = [("b", j, i) for j in range(self.cutoff - 2) for i in range(self.X.B.dim)]
+        # every n in 2..cutoff has a seed, D^n(e - 1)
+        for n, seeds in groupby(self._seeds(), itemgetter(0)):
+            ech = self._relations[n]
+            for _, rule, m, dk in seeds:
+                if rule is None:
+                    terms = ((make_monomial(m + t), c) for t, c in dk.items())
+                    self._insert(ech, self._shadow(terms), "shadows_inserted")
+                else:
+                    counts["shadows_skipped"] += 1
+            for g in gens:
+                if n - g[1] - 1 < 2:
+                    break
+                for row in self._relations[n - g[1] - 1].rows.values():
+                    vec = {make_monomial(t + (g,)): c for t, c in row.items()}
+                    self._insert(ech, vec, "multiples_inserted")
             changed = True
             while changed:
                 changed = False
@@ -370,14 +398,18 @@ class CourantQuotient:
                             counts["shadows_skipped"] += 1
                             continue
                         a = (("a", i),)
-                        if self._insert_shadow(ech, [(a + m, c) for m, c in row.items()]):
+                        if self._insert(ech, self._shadow([(a + m, c) for m, c in row.items()]),
+                                        "closure_inserted"):
+                            counts["closure_kept"] += 1
                             changed = True
 
     def _seeds(self):
-        """Every seed m.D^k(g) of the relation build, as (degree, rule, m,
-        terms of D^k g).  ``rule`` is None, or the rule of
-        ``_build_relations`` that makes the shadow 0: "unit", "own-factor"
-        or "associativity"."""
+        """The seeds m.D^k(g) of the relation build in increasing degree,
+        as (degree, rule, m, terms of D^k g): m of at most one factor, and
+        every m for E0 at k = 0 (the multiplier lemma of
+        ``_build_relations``).  ``rule`` is None, or the rule of
+        ``_build_relations`` that makes the shadow 0: "unit",
+        "own-factor" or "associativity"."""
         sym = self.sym
         u, fixes_b = self._identity_unit(), self._unit_fixes_b()
         relators = []
@@ -388,12 +420,15 @@ class CourantQuotient:
                 dks.append(sym.d(SCElement(dks[-1])).terms)
             unit = fixes_b if not head else ("a", u) in head
             relators.append((gdeg, dks, head, "unit" if unit else None, self._assoc_bounds(head)))
-        monos = {r: self._pure_b_monomials(r) for r in range(0, self.cutoff + 1)}
+        # the multipliers of at most one factor, by degree
+        short = [[()]] + [[(("b", r - 1, i),) for i in range(self.X.B.dim)]
+                          for r in range(1, self.cutoff + 1)]
         for n in range(2, self.cutoff + 1):
+            every = self._pure_b_monomials(n)
             for gdeg, dks, head, rule, bounds in relators:
                 for k in range(0, n - gdeg + 1):
                     dk = dks[k]
-                    for m in monos[n - gdeg - k]:
+                    for m in every if k == gdeg == 0 else short[n - gdeg - k]:
                         yield n, rule or self._seed_rule(head, bounds, k, m), m, dk
 
     @staticmethod

@@ -300,8 +300,10 @@ def test_build_json_reports_quotient_stats(capsys):
     assert stats["relation_dims"] == [0, 3]
     assert stats["rows_kept"] == 3
     assert stats["shadows_inserted"] >= stats["rows_kept"]
-    # 154 seeds and closure products, of which 129 are zero by construction
-    assert (stats["shadows_inserted"], stats["shadows_skipped"]) == (25, 129)
+    # 130 seeds and closure products, of which 110 are zero by construction;
+    # degree 2 has no row, so degree 3 has no multiple of one
+    assert (stats["shadows_inserted"], stats["closure_inserted"], stats["shadows_skipped"]) == (17, 3, 110)
+    assert (stats["multiples_inserted"], stats["closure_kept"]) == (0, 0)
     assert stats["fusion_steps"] > 0 and stats["peak_memo_entries"] > 0
     # the view's 888 n-th product entries: from the symmetric algebra, by
     # the vertex Poisson laws, zero by grading
