@@ -31,8 +31,19 @@ every lookup.
 
 A product with a zero argument is zero by bilinearity, so a sum leaves
 it out without evaluating it: dropping it changes no value.  This is not
-a grading skip, so every window, sample and tuple stays as stated and
-every law is still compared on each of them.
+a grading skip, so every window and tuple stays as stated and every law
+is still compared on each of them.
+
+Lemma (ha on generator thirds).  Let H_mn(u, v, w) be the left side of
+ha minus the right.  Where products satisfy hd and x_k 1 = 0, expanding
+by hd gives H_mn(u, v, w1.w2) = H_mn(u, v, w1).w2 + w1.H_mn(u, v, w2)
+(the cross terms (v_n w1).(u_m w2) and (u_m w1).(v_n w2) cancel) and
+H_mn(u, v, 1) = 0, so a monomial third fails at (u, v, m, n) only if a
+factor f does.  For generators u, v, f, ``check_ha`` checks f there: its
+skips weaken as r falls to s = deg f, and outside f's ranges H is 0, by
+grading where m + n >= p + q + s - 1 (``graded.assemble_view``), and
+else (n >= q + s, m <= p - 2) by hp: u = D^(p-1)(b), so u_i = 0 for
+i <= m.  ``vpa`` meets these hypotheses for any tables (its lemma, ``vlie``).
 """
 
 from __future__ import annotations
