@@ -44,6 +44,23 @@ skips weaken as r falls to s = deg f, and outside f's ranges H is 0, by
 grading where m + n >= p + q + s - 1 (``graded.assemble_view``), and
 else (n >= q + s, m <= p - 2) by hp: u = D^(p-1)(b), so u_i = 0 for
 i <= m.  ``vpa`` meets these hypotheses for any tables (its lemma, ``vlie``).
+
+Lemma (pair laws on generator second arguments).  Under the same
+hypotheses, with D a derivation: (1) the hp and dcomm defects
+P_n(u, v) = (D u)_n v + n u_(n-1) v and C_n(u, v) = D(u_n v) - u_n (D v)
++ n u_(n-1) v are derivations in v and 0 at v = 1 (in C the cross terms
+(u_n w1).(D w2) and (D w1).(u_n w2) cancel), so a composite v fails at
+(u, n) only if a factor f does; (u, f) is checked there, as its window
+starts no later and past its end (n >= p + s + 2) P and C are 0 by
+grading.  (2) hs holds for any tables when exactly one argument is a
+generator: ``vpa``'s skew route is its right side for u_n g, and for
+g_n v, putting it into the right side leaves g_n v, as
+sum_(i<=k) (-1)^i C(k, i) is 0 for k > 0.  (3) Skew-symmetry on
+generators gives right Leibniz, so {u_lambda v} is the master formula
+sum_(g,h) ({h_(lambda+D) g}-> d_h u) d_g v, skew-symmetric term by term
+(Barakat, De Sole and Kac, section 1): two composites fail hs only where
+a pair of their factors does, and those pairs' degrees sum to at most
+p + q <= top + 1, so their windows start at n = 0.
 """
 
 from __future__ import annotations
