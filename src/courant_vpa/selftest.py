@@ -153,13 +153,13 @@ def criterion_3() -> tuple[bool, str]:
 
 
 def criterion_4() -> tuple[bool, str]:
-    """Vertex Poisson certification on spanning monomials."""
+    """Vertex Poisson certification on generator tuples (``check_vpa``)."""
     for name, cutoff in VPA_EXAMPLES:
         sym = SymAlgebra(VertexLie(to_1tca(example(name)), cutoff))
         rep = check_vpa(sym)
         if not rep.passed:
             return False, "%s (cutoff %d): %s" % (name, cutoff, rep.summary(3))
-    return True, "hs, hp, dcomm, grading and ha on %d instances" % len(VPA_EXAMPLES)
+    return True, "hs, hp, dcomm and ha on generator tuples of %d instances" % len(VPA_EXAMPLES)
 
 
 def criterion_5() -> tuple[bool, str]:

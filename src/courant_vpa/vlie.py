@@ -358,10 +358,11 @@ def _neg_ddx(s: dict[int, SCElement]) -> dict[int, SCElement]:
 def check_vertex_lie(inst: VertexLie) -> CheckReport:
     """Component axioms on normal-form basis elements.
 
-    hs, hp, dcomm, ha and grading are stated in ``laws``; they are verified
-    for all tuples whose total degree stays within the cutoff (so every
-    intermediate is representable), with D applied wherever its result
-    stays within the algebra's cutoff.  The normal-form dimensions need
+    hs, hp, dcomm and ha are stated in ``laws``, whose grading lemma makes
+    degrees need no check.  They are verified for all tuples whose total
+    degree stays within the cutoff (so every intermediate is
+    representable), with D applied wherever its result stays within the
+    algebra's cutoff.  The normal-form dimensions need
     no check: ``basis_elements`` builds dim A elements of degree 0 and
     dim B of each degree 1..cutoff.
     """

@@ -40,23 +40,13 @@ route, again an empty sum.  So ``check_vpa`` does not restate these laws;
 a property test over mutated tables guards the rule.
 
 Products are bilinear, so ``product`` expands over pairs of monomials and
-sums the monomial-pair results into one accumulator.  A check evaluates
-the same (n, monomial, monomial) pairs many times over, so ``check_vpa``
-memoizes the pair results, in rows keyed (n, mu) then mv, and D of each
-monomial, each as a tuple of (monomial, coefficient) items that
-``add_scaled`` reads as stored.  The memo lives only inside a
-``SymAlgebra.memoized`` block and is dropped when the block returns or
-raises; ``check_vpa`` runs in one such block.  The quotient opens none:
-its algebra serves tens of thousands of products that never repeat,
-most of them zero, which a memo would only hold.  The generator products
-are few, one per index and pair of basis factors, and ``VertexLie``
-keeps them for its lifetime.  Failing evaluations (CutoffError) are
-never stored, so they raise again every time.
+sums the monomial-pair results into one accumulator.  Nothing is kept
+between calls but the generator products, which are few, one per index
+and pair of basis factors: ``VertexLie`` keeps them for its lifetime.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import factorial
@@ -87,28 +77,9 @@ def make_monomial(factors) -> Monomial:
 
 
 def _nonzero(terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
-    # canonical like SCElement's, so memoized terms stay on the int path
+    # drops cancelled terms, so a zero result is empty, and keeps the
+    # coefficients canonical like SCElement's, so they stay on the int path
     return {m: c if type(c) is int else rational(c) for m, c in terms.items() if c}
-
-
-class _Memo:
-    """Monomial-level products and derivatives, kept compact: each value
-    is a tuple of (monomial, coefficient) items, each item interned once
-    per memo, and pair rows are keyed (n, mu) -> mv."""
-
-    __slots__ = ("rows", "d", "items")
-
-    def __init__(self):
-        self.rows: dict[tuple[int, Monomial], dict[Monomial, tuple]] = {}
-        self.d: dict[Monomial, tuple] = {}
-        self.items: dict[tuple[Monomial, Scalar], tuple[Monomial, Scalar]] = {}
-
-    def __len__(self) -> int:
-        return len(self.d) + sum(len(row) for row in self.rows.values())
-
-    def freeze(self, terms: dict[Monomial, Scalar]) -> tuple:
-        items = self.items
-        return tuple([items.setdefault(t, t) for t in terms.items()])
 
 
 class SymAlgebra:
@@ -119,7 +90,6 @@ class SymAlgebra:
         self.A = vlie.A
         self.B = vlie.B
         self.cutoff = vlie.cutoff
-        self._memo: _Memo | None = None
 
     # -- constructors ----------------------------------------------------
 
@@ -192,26 +162,18 @@ class SymAlgebra:
 
     combine = staticmethod(combine)
 
-    def _d_monomial(self, m: Monomial) -> tuple:
-        """D of one monomial by Leibniz over its factors, as items."""
-        memo = self._memo
-        if memo is not None:
-            got = memo.d.get(m)
-            if got is not None:
-                return got
+    def _d_monomial(self, m: Monomial) -> dict[Monomial, Scalar]:
+        """D of one monomial by Leibniz over its factors."""
         acc: dict[Monomial, Scalar] = {}
         for k, f in enumerate(m):
             df = self.vlie.d(SCElement({(f,): 1})).terms
             self._add_times(acc, df.items(), m[:k] + m[k + 1 :])
-        if memo is None:
-            return tuple(acc.items())
-        got = memo.d[m] = memo.freeze(acc)
-        return got
+        return acc
 
     def _d_terms(self, terms: dict[Monomial, Scalar]) -> dict[Monomial, Scalar]:
         acc: dict[Monomial, Scalar] = {}
         for m, c in terms.items():
-            add_scaled(acc, self._d_monomial(m), c)
+            add_scaled(acc, self._d_monomial(m).items(), c)
         return _nonzero(acc)
 
     def d(self, u: SCElement) -> SCElement:
@@ -220,33 +182,8 @@ class SymAlgebra:
 
     # -- the n-th products --------------------------------------------------
 
-    @contextmanager
-    def memoized(self):
-        """Memoize monomial-pair products and monomial derivatives inside
-        the block; the memo is dropped on leaving it."""
-        outer = self._memo
-        if outer is None:
-            self._memo = _Memo()
-        try:
-            yield
-        finally:
-            self._memo = outer
-
-    def _pair(self, n: int, mu: Monomial, mv: Monomial) -> tuple:
-        """mu_n mv, as items."""
-        memo = self._memo
-        if memo is None:
-            return tuple(self._pair_terms(n, mu, mv).items())
-        key = (n, mu)
-        row = memo.rows.get(key)
-        if row is None:
-            row = memo.rows[key] = {}
-        got = row.get(mv)
-        if got is None:
-            got = row[mv] = memo.freeze(self._pair_terms(n, mu, mv))
-        return got
-
-    def _pair_terms(self, n: int, mu: Monomial, mv: Monomial) -> dict[Monomial, Scalar]:
+    def _pair(self, n: int, mu: Monomial, mv: Monomial) -> dict[Monomial, Scalar]:
+        """mu_n mv, by the route of mu."""
         if len(mu) == 1:
             return self._gen_on_monomial(mu[0], n, mv)
         if not mv:
@@ -255,8 +192,8 @@ class SymAlgebra:
             return self._skew_on_generator(mu, n, mv[0])
         g, rest = mv[:1], mv[1:]
         acc: dict[Monomial, Scalar] = {}
-        self._add_times(acc, self._pair(n, mu, g), rest)
-        self._add_times(acc, self._pair(n, mu, rest), g)
+        self._add_times(acc, self._pair(n, mu, g).items(), rest)
+        self._add_times(acc, self._pair(n, mu, rest).items(), g)
         return _nonzero(acc)
 
     def _gen_on_monomial(self, g: Factor, n: int, m: Monomial) -> dict[Monomial, Scalar]:
@@ -272,10 +209,9 @@ class SymAlgebra:
         """Skew route base case: mu_n g by flipping g over mu."""
         acc: dict[Monomial, Scalar] = {}
         for j in range(n, factor_degree(g) + mono_degree(mu)):
-            w = self._pair(j, (g,), mu)
-            if not w:
+            terms = self._pair(j, (g,), mu)
+            if not terms:
                 continue
-            terms = dict(w)
             for _ in range(j - n):
                 terms = self._d_terms(terms)
             coef = rational(Fraction((-1) ** (j + 1), factorial(j - n)))
@@ -296,43 +232,39 @@ class SymAlgebra:
             for mv, cv in v.terms.items():
                 w = self._pair(n, mu, mv)
                 if w:
-                    add_scaled(acc, w, cv if unit else cu * cv)
+                    add_scaled(acc, w.items(), cv if unit else cu * cv)
         return SCElement(acc)
 
 
-# -- spanning checks --------------------------------------------------------
+# -- the checker ------------------------------------------------------------
 
 
 def check_vpa(sym: SymAlgebra) -> CheckReport:
-    """Vertex Poisson axioms on a spanning set of monomials.
+    """Vertex Poisson axioms on generator tuples.
 
     Sections (all exact; tuples chosen so every intermediate stays within
     the cutoff), each law stated in ``laws``:
 
-        hs, hp, dcomm, grading   on pairs (u, g) with p + q <= top + 1, u a
-                  spanning monomial of at most two factors, g a generator;
-                  and on every generator pair with p + q > top + 1, where
-                  hs compares the two product routes (module docstring)
-        ha        on triples of generators
+        hs, hp, dcomm   on every pair of generators; where p + q > top + 1,
+                        hs compares the two product routes (module docstring)
+        ha              on pairs of generators with p + q <= top + 1 against
+                        every generator third
 
-    The unit law and hd hold for any tables by the lemma of the module
-    docstring, so no section restates them.  The lemmas of the ``laws``
-    docstring show that generator second arguments suffice for the pair
-    laws, and generator thirds for ha.  The first slot has no such lemma.
-    Over 682 runs on single-entry table mutants of five examples,
-    one-factor first arguments miss an axiom that two-factor ones report
-    in 276, and three-factor ones report none that two-factor ones miss.
+    On one-factor monomials ``product`` is ``VertexLie.generator_product``
+    by the generator route, and ``d`` is ``VertexLie.d``, so each product
+    and D of these tuples stays in the vertex Lie part and is evaluated
+    there, on ``sym.vlie``.  The unit law and hd hold for any tables by the
+    lemma of the module docstring, so no section restates them.  The
+    lemmas of the ``laws`` docstring show that generator arguments suffice
+    for the pair laws in either slot, and generator thirds for ha.
     """
+    vl = sym.vlie
     top = sym.cutoff
-    gen_elems = [(l, sym.monomial([f]), factor_degree(f)) for l, f in sym.generators(top)]
-    span2 = sym.spanning_monomials(top, 2)
-    span_elems = [(format_monomial(sym, m), SCElement({m: 1}), mono_degree(m)) for m in span2]
-    fmt = lambda u: format_element(sym, u)
-    pairs = [(x, g) for x in span_elems for g in gen_elems if x[2] + g[2] <= top + 1]
-    pairs += [(x, y) for x in gen_elems for y in gen_elems if x[2] + y[2] > top + 1]
-    triples = [(x, y, gen_elems) for x in gen_elems for y in gen_elems if x[2] + y[2] <= top + 1]
-    with sym.memoized():
-        return CheckReport(
-            laws.check_pair_laws(sym, MODULE, fmt, top, pairs)
-            + laws.check_ha(sym, MODULE, fmt, top, triples)
-        )
+    gens = [(l, e, e.max_degree()) for l, e in vl.basis_elements(top)]
+    fmt = lambda u: format_element(vl, u)
+    pairs = [(x, y) for x in gens for y in gens]
+    triples = [(x, y, gens) for x, y in pairs if x[2] + y[2] <= top + 1]
+    return CheckReport(
+        laws.check_pair_laws(vl, MODULE, fmt, top, pairs)
+        + laws.check_ha(vl, MODULE, fmt, top, triples)
+    )

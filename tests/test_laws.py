@@ -1,7 +1,8 @@
-"""The shared laws (hs, hp, dcomm, ha, grading) as both checkers report
-them: pinned per-axiom violation counts and violation text on table
-mutants, reports that do not depend on how elements are labelled, pinned
-product call counts of check_vpa, and one grading.d violation per bad D."""
+"""The shared laws (hs, hp, dcomm, ha) as both checkers report them:
+pinned per-axiom violation counts and violation text on table mutants,
+the wider tuple sets of earlier checkers as oracles for the lemmas of the
+laws docstring, reports that do not depend on how elements are labelled,
+and pinned product call counts of check_vpa."""
 
 import functools
 import hashlib
@@ -127,9 +128,8 @@ def test_composite_thirds_fail_ha_only_where_generators_do():
                 ]
                 uv = [(x, y) for x in gens for y in gens if x[2] + y[2] <= top + 1]
                 fmt = lambda u: format_element(sym, u)
-                with sym.memoized():
-                    by_gens = laws.check_ha(sym, "vpa", fmt, top, [(x, y, gens) for x, y in uv])
-                    by_composites = laws.check_ha(sym, "vpa", fmt, top, [(x, y, composites) for x, y in uv])
+                by_gens = laws.check_ha(sym, "vpa", fmt, top, [(x, y, gens) for x, y in uv])
+                by_composites = laws.check_ha(sym, "vpa", fmt, top, [(x, y, composites) for x, y in uv])
                 assert failing(by_composites) <= failing(by_gens)
                 composite_fails += len(failing(by_composites))
     assert composite_fails == 1_807
@@ -157,8 +157,7 @@ def test_composite_second_arguments_fail_only_where_generators_do():
                 elems = [(format_monomial(sym, m), SCElement({m: 1}), mono_degree(m)) for m in span]
                 pairs = [(x, y) for x in elems for y in elems if x[2] + y[2] <= top + 1]
                 fmt = lambda u: format_element(sym, u)
-                with sym.memoized():
-                    vs = laws.check_pair_laws(sym, "vpa", fmt, top, pairs)
+                vs = laws.check_pair_laws(sym, "vpa", fmt, top, pairs)
                 lines = {(v.axiom,) + v.tuple for v in vs}
                 hs_pairs = {(lu, lv) for axiom, lu, lv, _ in lines if axiom == "hs"}
                 for axiom, lu, lv, n in lines:
@@ -173,6 +172,48 @@ def test_composite_second_arguments_fail_only_where_generators_do():
                     else:
                         assert any((axiom, lu, f, n) in lines for f in factors[lv]), (axiom, lu, lv, n)
     assert composite_lines == 8_258
+
+
+def test_composite_first_arguments_fail_only_where_generators_do():
+    # The pair set check_vpa used before it took generator first arguments,
+    # spanning monomials of at most two factors against generators (and the
+    # generator pairs with p + q > top + 1), evaluated on the symmetric
+    # algebra, as an oracle for the first-slot lemma of the laws docstring.
+    # On every mutant of the pinned sweep: (a) it gives check_vpa's
+    # verdict; (b) no hs line has a first argument that is not a
+    # generator; (c) each hp (dcomm) line at such a (u, g, n) has a dcomm
+    # (hp) line of check_vpa at (g, f) for a factor f of u.  1,238 lines
+    # over the 82 mutants have a composite first argument.
+    top = 2
+    partner = {"hp": "dcomm", "dcomm": "hp"}
+    composite_lines = 0
+    for delta in ("1", "-1/2"):
+        for name in ("heisenberg", "exact(2)"):
+            T = to_1tca(example(name))
+            for _, parts in table_mutants(T, Fraction(delta)):
+                sym = SymAlgebra(VertexLie(OneTruncatedConformalAlgebra(C0=T.C0, C1=T.C1, **parts), top))
+                span = sym.spanning_monomials(top, 2)
+                factors = {format_monomial(sym, m): [format_monomial(sym, (f,)) for f in m] for m in span}
+                firsts = [(format_monomial(sym, m), SCElement({m: 1}), mono_degree(m)) for m in span]
+                gens = [x for x in firsts if len(factors[x[0]]) == 1]
+                pairs = [(x, g) for x in firsts for g in gens if x[2] + g[2] <= top + 1]
+                pairs += [(x, y) for x in gens for y in gens if x[2] + y[2] > top + 1]
+                triples = [(x, y, gens) for x in gens for y in gens if x[2] + y[2] <= top + 1]
+                fmt = lambda u: format_element(sym, u)
+                reference = laws.check_pair_laws(sym, "vpa", fmt, top, pairs) + laws.check_ha(
+                    sym, "vpa", fmt, top, triples
+                )
+                rep = check_vpa(sym)
+                assert rep.passed == (not reference)
+                checked = {(v.axiom,) + v.tuple[:2] for v in rep.violations}
+                for v in reference:
+                    lu, lv = v.tuple[:2]
+                    if v.axiom == "ha" or len(factors[lu]) == 1:
+                        continue
+                    assert v.axiom != "hs", v
+                    composite_lines += 1
+                    assert any((partner[v.axiom], lv, f) in checked for f in factors[lu]), v
+    assert composite_lines == 1_238
 
 
 def relabelled_broken_heisenberg(label):
@@ -205,23 +246,18 @@ def test_product_like_a_label_leaves_vpa_report_unchanged(label, count):
 
 
 class Counting:
-    """A SymAlgebra that counts the ``product`` and ``multiply`` calls a
-    checker makes of it."""
+    """A VertexLie that counts the ``product`` calls a checker makes of it."""
 
-    def __init__(self, sym):
-        self.sym = sym
-        self.calls = Counter()
+    def __init__(self, inst):
+        self.inst = inst
+        self.calls = 0
 
     def __getattr__(self, name):
-        return getattr(self.sym, name)
+        return getattr(self.inst, name)
 
-    def product(self, *args, **kwargs):
-        self.calls["product"] += 1
-        return self.sym.product(*args, **kwargs)
-
-    def multiply(self, u, v):
-        self.calls["multiply"] += 1
-        return self.sym.multiply(u, v)
+    def product(self, *args):
+        self.calls += 1
+        return self.inst.product(*args)
 
 
 # Before the hd and ha loops reused their products, heisenberg/3 made
@@ -229,39 +265,19 @@ class Counting:
 # 18,204 and 8,757.  Before check_vpa left unit and hd to the lemma of
 # the vpa docstring, they made 3,902 and 11,616 product calls, and before
 # ha took generator thirds only, 2,592 and 8,894; before the pair laws
-# took generator second arguments only, 1,844 and 6,763.
+# took generator second arguments only, 1,844 and 6,763; and before they
+# took generator first arguments on the vertex Lie part, 987 and 4,513
+# SymAlgebra.product calls.  check_vpa now calls VertexLie.product only.
 @pytest.mark.parametrize(
-    "name,cutoff,product,multiply",
+    "name,cutoff,product",
     [
-        pytest.param("heisenberg", 3, 987, 0, id="heisenberg-3"),
-        pytest.param("quadratic_lie(sl2)", 2, 4513, 0, id="quadratic_lie(sl2)-2"),
+        pytest.param("heisenberg", 3, 684, id="heisenberg-3"),
+        pytest.param("quadratic_lie(sl2)", 2, 3703, id="quadratic_lie(sl2)-2"),
     ],
 )
-def test_vpa_product_counts_are_pinned(name, cutoff, product, multiply):
-    sym = Counting(SymAlgebra(VertexLie(to_1tca(example(name)), cutoff)))
+def test_vpa_product_counts_are_pinned(name, cutoff, product, monkeypatch):
+    sym = SymAlgebra(Counting(VertexLie(to_1tca(example(name)), cutoff)))
+    for op in ("product", "multiply", "d"):  # none is called: all is on the vertex Lie part
+        monkeypatch.setattr(sym, op, None)
     assert check_vpa(sym).passed
-    assert sym.calls == Counter(product=product, multiply=multiply)
-
-
-class BrokenD:
-    """A VertexLie whose D of one element also returns the element itself,
-    so that D u has degrees p and p + 1."""
-
-    def __init__(self, inst, bad):
-        self.inst = inst
-        self.bad = bad
-
-    def __getattr__(self, name):
-        return getattr(self.inst, name)
-
-    def d(self, u):
-        du = self.inst.d(u)
-        return du + u if u == self.bad else du
-
-
-def test_bad_d_is_reported_once():
-    inst = VertexLie(to_1tca(example("heisenberg")), 3)
-    bad = inst.from_b(inst.B.unit_vector("beta"), 0)
-    rep = check_vertex_lie(BrokenD(inst, bad))
-    graded = [v for v in rep.violations if v.axiom == "grading.d"]
-    assert [v.tuple for v in graded] == [("D0[beta]",)]
+    assert sym.vlie.calls == product

@@ -368,19 +368,19 @@ def test_reduce_matches_reference_on_seeded_corpus():
 
 def test_memo_is_dropped_after_build_and_view(monkeypatch):
     q = CourantQuotient(example("exact(2)"), 3)
-    assert q._memo is None and q.sym._memo is None
-    # the view reduces with no memo open, of the quotient or of its algebra
+    assert q._memo is None
+    # the view reduces with no memo open
     memos = set()
     reduce = CourantQuotient.reduce
 
     def recording(self, u, strategy="leftmost"):
-        memos.add((self._memo is None, self.sym._memo is None))
+        memos.add(self._memo is None)
         return reduce(self, u, strategy)
 
     monkeypatch.setattr(CourantQuotient, "reduce", recording)
     assemble_view(q)
-    assert memos == {(True, True)}
-    assert q._memo is None and q.sym._memo is None
+    assert memos == {True}
+    assert q._memo is None
 
 
 def test_memo_is_dropped_when_fusion_exceeds_its_bound(monkeypatch):
@@ -395,14 +395,14 @@ def test_memo_is_dropped_when_fusion_exceeds_its_bound(monkeypatch):
     monkeypatch.setattr(quotient_mod, "MAX_REDUCE_STEPS", 1)
     with pytest.raises(ReduceBoundError):
         CourantQuotient(example("exact(2)"), 3)
-    assert built and built[0]._memo is None and built[0].sym._memo is None
+    assert built and built[0]._memo is None
 
     monkeypatch.undo()
     q = CourantQuotient(example("exact(2)"), 3)
     monkeypatch.setattr(quotient_mod, "MAX_REDUCE_STEPS", 1)
     with pytest.raises(ReduceBoundError):
         assemble_view(q)
-    assert q._memo is None and q.sym._memo is None
+    assert q._memo is None
 
 
 def test_failing_fusion_leaves_no_memo_entry(monkeypatch):
@@ -473,4 +473,4 @@ def test_reduce_check_runs_in_one_memo():
     before = q.stats()["fusion_steps"]
     assert check_reduce_properties(q).passed
     assert q.stats()["fusion_steps"] - before == 715
-    assert q._memo is None and q.sym._memo is None
+    assert q._memo is None

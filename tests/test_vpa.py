@@ -1,4 +1,3 @@
-import contextlib
 import functools
 import itertools
 from fractions import Fraction
@@ -17,6 +16,16 @@ from courant_vpa.vpa import SCElement, SymAlgebra, check_vpa, mono_degree
 
 def make(name, cutoff=4):
     return SymAlgebra(VertexLie(to_1tca(example(name)), cutoff))
+
+
+SYMS = {name: make(name, cutoff=3) for name in ("heisenberg", "exact(2)")}
+
+
+def _outcome(f):
+    try:
+        return f()
+    except CutoffError:
+        return CutoffError
 
 
 def test_multiply_unit_commutativity_and_square():
@@ -104,6 +113,23 @@ def test_generator_vs_skew_route_agree():
     assert laws.check_pair_laws(sym, "vpa", lambda u: format_element(sym, u), top, pairs) == []
 
 
+@pytest.mark.parametrize("name", ["trivial(2)", "heisenberg", "quadratic_lie(sl2)", "exact(2)", "exact(3)"])
+def test_products_of_generators_are_vertex_lie_products(name):
+    # the identity check_vpa rests on to evaluate on sym.vlie: on generators
+    # product and d are VertexLie's, values and CutoffErrors alike, at every
+    # index up to one past the grading support; on the built-in at cutoff 3,
+    # and for heisenberg and exact(2) on each +1 single-entry mutant too
+    syms = _rule_syms(name) if name in ("heisenberg", "exact(2)") else [make(name, 3)]
+    for sym in syms:
+        vl = sym.vlie
+        gens = [(e, e.max_degree()) for _, e in vl.basis_elements()]
+        for g, p in gens:
+            assert _outcome(lambda: sym.d(g)) == _outcome(lambda: vl.d(g))
+            for h, q in gens:
+                for n in range(p + q + 2):
+                    assert _outcome(lambda: sym.product(n, g, h)) == _outcome(lambda: vl.product(n, g, h))
+
+
 @pytest.mark.parametrize("name,cutoff", [
     ("trivial(2)", 4),
     ("heisenberg", 4),
@@ -166,104 +192,21 @@ def test_multiply_associative_and_unital():
                 assert lhs == rhs
 
 
-# -- the per-check memo ------------------------------------------------------
-
-MEMO_SYMS = {name: make(name, cutoff=3) for name in ("heisenberg", "exact(2)")}
-
-
-def _outcome(f):
-    try:
-        return f()
-    except CutoffError:
-        return CutoffError
-
-
-def _draw_element(data, monos):
-    terms = data.draw(st.dictionaries(
-        st.sampled_from(monos),
-        st.fractions(min_value=-3, max_value=3, max_denominator=2).filter(bool),
-        min_size=1, max_size=3,
-    ))
-    return SCElement(terms)
-
-
-@settings(max_examples=80, deadline=None)
-@given(data=st.data())
-def test_memo_agrees_with_direct_evaluation(data):
-    name = data.draw(st.sampled_from(sorted(MEMO_SYMS)))
-    sym = MEMO_SYMS[name]
-    monos = sym.spanning_monomials(3, 3)
-    # u's monomials pick the route, so both routes run
-    u = _draw_element(data, monos)
-    v = _draw_element(data, monos)
-    n = data.draw(st.integers(0, 3))
-    ops = [lambda: sym.product(n, u, v), lambda: sym.d(v), lambda: sym.d(u)]
-    direct = [_outcome(f) for f in ops]
-    with sym.memoized():
-        filling = [_outcome(f) for f in ops]
-        cached = [_outcome(f) for f in ops]
-    assert filling == direct
-    assert cached == direct
-    assert sym._memo is None
+# -- cutoff errors -----------------------------------------------------------
 
 
 def test_cutoff_error_is_never_memoized():
-    # (beta.beta)_0 (beta.D1[beta]) and D(D2[beta]) both leave degree 3
+    # (beta.beta)_0 (beta.D1[beta]) and D(D2[beta]) both leave degree 3; no
+    # cache keeps the raise, so each call raises again
     sym = make("heisenberg", cutoff=3)
     beta = sym.b_gen("beta")
     bb = sym.multiply(beta, beta)
     v = sym.multiply(beta, sym.b_gen("beta", 1))
     top = sym.b_gen("beta", 2)
-    failing = [lambda: sym.product(0, bb, v), lambda: sym.d(top)]
-    for f in failing:
-        with pytest.raises(CutoffError):
-            f()
-    with sym.memoized():
-        for _ in range(2):
-            for f in failing:
-                with pytest.raises(CutoffError):
-                    f()
-
-
-def test_check_vpa_drops_its_memo(monkeypatch):
-    sym = make("heisenberg", cutoff=2)
-    assert check_vpa(sym).passed
-    assert sym._memo is None
-    sizes = []
-
-    def failing_d(u):
-        sizes.append(len(sym._memo))
-        raise RuntimeError("stop")
-
-    # hs asks for D after its pair's products have filled the memo
-    monkeypatch.setattr(sym, "d", failing_d)
-    with pytest.raises(RuntimeError):
-        check_vpa(sym)
-    assert sizes and sizes[0] > 0
-    assert sym._memo is None
-
-
-def test_memo_values_are_interned_item_tuples():
-    # every memo value is a tuple of (monomial, coefficient) items, and an
-    # item that several values share is stored once
-    sym = make("heisenberg")
-    beta, dbeta = sym.b_gen("beta"), sym.b_gen("beta", 1)
-    bb, bdb = sym.multiply(beta, beta), sym.multiply(beta, dbeta)
-    with sym.memoized():
-        for n in range(3):
-            for u, v in ((beta, bb), (dbeta, bb), (beta, bdb)):
-                sym.product(n, u, v)
-        sym.d(bb), sym.d(bdb)
-        memo = sym._memo
-        values = list(memo.d.values()) + [v for row in memo.rows.values() for v in row.values()]
-    seen = {}
-    for value in values:
-        assert type(value) is tuple
-        for item in value:
-            assert type(item) is tuple and len(item) == 2
-            assert seen.setdefault(item, item) is item
-    # no value repeats an item, so the surplus is items shared by values
-    assert sum(len(v) for v in values) > len(seen)
+    for _ in range(2):
+        for f in (lambda: sym.product(0, bb, v), lambda: sym.d(top)):
+            with pytest.raises(CutoffError):
+                f()
 
 
 # -- unit and hd by construction ---------------------------------------------
@@ -299,12 +242,10 @@ def test_unit_and_hd_hold_for_any_tables(data):
     lo = max(0, p + qr - top - 1)
     n = data.draw(st.integers(lo, max(lo, p + qr - 1)))
     u, v, w, one = SCElement({mu: 1}), SCElement({mv: 1}), SCElement({mw: 1}), sym.one()
-    # check_vpa evaluates products inside the memo, so check both paths
-    with sym.memoized() if data.draw(st.booleans()) else contextlib.nullcontext():
-        lhs = sym.product(n, u, sym.multiply(v, w))
-        assert lhs == sym.multiply(sym.product(n, u, v), w) + sym.multiply(v, sym.product(n, u, w))
-        assert sym.product(n, u, one).is_zero()
-        assert sym.product(n, one, u).is_zero()
+    lhs = sym.product(n, u, sym.multiply(v, w))
+    assert lhs == sym.multiply(sym.product(n, u, v), w) + sym.multiply(v, sym.product(n, u, w))
+    assert sym.product(n, u, one).is_zero()
+    assert sym.product(n, one, u).is_zero()
 
 
 # -- ha on generator thirds ---------------------------------------------------
@@ -324,22 +265,21 @@ def test_jacobi_defect_is_a_derivation_in_the_third():
     top = sym.cutoff
     gens = [(sym.monomial([f]), factor_degree(f)) for _, f in sym.generators(top)]
     cases = nonzero = 0
-    with sym.memoized():
-        for (u, p), (v, q) in itertools.product(gens, gens):
-            if p + q > top + 1:
+    for (u, p), (v, q) in itertools.product(gens, gens):
+        if p + q > top + 1:
+            continue
+        for (w1, r1), (w2, r2) in itertools.product(gens, gens):
+            r = r1 + r2
+            if r > top:
                 continue
-            for (w1, r1), (w2, r2) in itertools.product(gens, gens):
-                r = r1 + r2
-                if r > top:
-                    continue
-                w = sym.multiply(w1, w2)
-                for m in range(p + q + r):
-                    for n in range(q + r):
-                        h = _jacobi_defect(sym, m, n, u, v, w)
-                        h1, h2 = (_jacobi_defect(sym, m, n, u, v, x) for x in (w1, w2))
-                        assert h == sym.multiply(h1, w2) + sym.multiply(w1, h2), (u, v, w1, w2, m, n)
-                        cases += 1
-                        nonzero += not h.is_zero()
+            w = sym.multiply(w1, w2)
+            for m in range(p + q + r):
+                for n in range(q + r):
+                    h = _jacobi_defect(sym, m, n, u, v, w)
+                    h1, h2 = (_jacobi_defect(sym, m, n, u, v, x) for x in (w1, w2))
+                    assert h == sym.multiply(h1, w2) + sym.multiply(w1, h2), (u, v, w1, w2, m, n)
+                    cases += 1
+                    nonzero += not h.is_zero()
     assert (cases, nonzero) == (2_100, 264)
 
 
@@ -372,20 +312,19 @@ def test_hp_and_dcomm_defects_are_derivations_in_the_second():
     gens = [(sym.monomial([f]), factor_degree(f)) for _, f in sym.generators(top)]
     firsts = [(SCElement({m: 1}), mono_degree(m)) for m in sym.spanning_monomials(top - 1, 2)]
     cases = nonzero = 0
-    with sym.memoized():
-        for u, p in firsts:
-            for (w1, r1), (w2, r2) in itertools.product(gens, gens):
-                r = r1 + r2
-                if r + 1 > top:
-                    continue
-                w = sym.multiply(w1, w2)
-                for n in range(max(0, p + r - top), p + r + 2):
-                    for defect in (_hp_defect, _dcomm_defect):
-                        got = defect(sym, n, u, w)
-                        d1, d2 = (defect(sym, n, u, x) for x in (w1, w2))
-                        assert got == sym.multiply(d1, w2) + sym.multiply(w1, d2), (defect, u, w1, w2, n)
-                        cases += 1
-                        nonzero += not got.is_zero()
+    for u, p in firsts:
+        for (w1, r1), (w2, r2) in itertools.product(gens, gens):
+            r = r1 + r2
+            if r + 1 > top:
+                continue
+            w = sym.multiply(w1, w2)
+            for n in range(max(0, p + r - top), p + r + 2):
+                for defect in (_hp_defect, _dcomm_defect):
+                    got = defect(sym, n, u, w)
+                    d1, d2 = (defect(sym, n, u, x) for x in (w1, w2))
+                    assert got == sym.multiply(d1, w2) + sym.multiply(w1, d2), (defect, u, w1, w2, n)
+                    cases += 1
+                    nonzero += not got.is_zero()
     assert (cases, nonzero) == (398, 81)
 
 
@@ -404,14 +343,13 @@ def test_hs_holds_with_exactly_one_generator_argument(data):
     u, v = SCElement({mu: 1}), SCElement({mv: 1})
     p, q = mono_degree(mu), mono_degree(mv)
     n = data.draw(st.integers(max(0, p + q - top - 1), p + q))
-    with sym.memoized() if data.draw(st.booleans()) else contextlib.nullcontext():
-        rhs = sym.zero()
-        for i in range(p + q - n):
-            w = sym.product(n + i, v, u)
-            for _ in range(i):
-                w = sym.d(w)
-            rhs = rhs + w.scale(Fraction((-1) ** (n + i + 1), factorial(i)))
-        assert sym.product(n, u, v) == rhs
+    rhs = sym.zero()
+    for i in range(p + q - n):
+        w = sym.product(n + i, v, u)
+        for _ in range(i):
+            w = sym.d(w)
+        rhs = rhs + w.scale(Fraction((-1) ** (n + i + 1), factorial(i)))
+    assert sym.product(n, u, v) == rhs
 
 
 # -- zero arguments ----------------------------------------------------------
@@ -463,7 +401,7 @@ def _bilinear(u, v, pair):
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_short_circuits_agree_with_bilinear_expansion(data):
-    sym = MEMO_SYMS[data.draw(st.sampled_from(sorted(MEMO_SYMS)))]
+    sym = SYMS[data.draw(st.sampled_from(sorted(SYMS)))]
     monos = sym.spanning_monomials(3, 3)
     # u may mix single-factor and composite monomials, so mix the routes
     u = _draw_sparse(data, monos)
